@@ -134,8 +134,9 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
     windows = {"cold": [], "warm": []}
     tasks_total = sum(len(ref) for ref in reference)
 
-    cell_seconds = [[] for _ in specs]
-    warm_rates, latencies = [], []
+    cell_seconds = [[] for _ in specs]        # cold, per pass
+    cell_warm_seconds = [[] for _ in specs]   # warm, per re-run
+    latencies = []
     solved_rows: list[dict] = []
     rep_dir = harness.WORK / "tmp" / "grid-cold"
 
@@ -165,6 +166,7 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
         t0 = time.perf_counter()
         cache = _open(rep_dir, spans)
         for i, spec in enumerate(specs):
+            tc = time.perf_counter()
             if spans is None:
                 tasks = spec.tasks()
             else:
@@ -185,10 +187,10 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
                     warm.fail(f"warm {CELLS[i][2]} task {task.index} "
                               f"differs from its cold row "
                               f"({row['resolution']})")
+            cell_warm_seconds[i].append(time.perf_counter() - tc)
         t1 = time.perf_counter()
         cache.close()
         windows["warm"].append((t0, t1))
-        warm_rates.append(tasks_total / (t1 - t0))
         warm.attempted += tasks_total
 
     host_ms: list[float] = []
@@ -199,12 +201,12 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
         "phases": [cold, warm],
         # best of the repetitions per cell: the host's stalls only slow
         "cold_ops_s": tasks_total / sum(min(t) for t in cell_seconds),
-        "warm_ops_s": max(warm_rates),
+        "warm_ops_s": tasks_total / sum(min(t) for t in cell_warm_seconds),
         "warm_p50_ms": p50 * 1000.0,
         "warm_p99_ms": p99 * 1000.0,
         "host_ms": host_ms,
         "samples": {"cold_reps": len(windows["cold"]),
-                    "warm_reruns": len(warm_rates),
+                    "warm_reruns": len(windows["warm"]),
                     "warm_latencies": len(latencies)},
     }
     if spans is not None:

@@ -141,8 +141,9 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
                 phase.fail(f"{phase.name} front {i} differs from the "
                            f"reference front")
 
-    front_seconds = [[] for _ in specs]
-    warm_rates, latencies = [], []
+    front_seconds = [[] for _ in specs]        # cold, per pass
+    front_warm_seconds = [[] for _ in specs]   # warm, per pass
+    latencies = []
     solved_rows: list[dict] = []
 
     def cold_pass() -> None:
@@ -174,7 +175,7 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
             with spans.span("campaign.open"):
                 cache = ResultCache(backend=harness.timing_backend(
                     JsonlBackend(warm_dir), spans))
-        for spec in specs:
+        for i, spec in enumerate(specs):
             ts = time.perf_counter()
             if spans is None:
                 fronts.append(_front(spec, cache))
@@ -182,10 +183,10 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
                 with spans.span("analysis.front"):
                     fronts.append(_front(spec, cache))
             latencies.append(time.perf_counter() - ts)
+            front_warm_seconds[i].append(latencies[-1])
         t1 = time.perf_counter()
         cache.close()
         windows["warm"].append((t0, t1))
-        warm_rates.append(len(specs) / (t1 - t0))
         compare(fronts, warm)
         if cache.misses:
             warm.fail(f"{cache.misses} warm sweep tasks missed the cache")
@@ -198,12 +199,12 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
         "phases": [cold, warm],
         # best of the repetitions per front: the host's stalls only slow
         "cold_ops_s": len(specs) / sum(min(t) for t in front_seconds),
-        "warm_ops_s": max(warm_rates),
+        "warm_ops_s": len(specs) / sum(min(t) for t in front_warm_seconds),
         "warm_p50_ms": p50 * 1000.0,
         "warm_p99_ms": p99 * 1000.0,
         "host_ms": host_ms,
         "samples": {"cold_reps": len(windows["cold"]),
-                    "warm_passes": len(warm_rates),
+                    "warm_passes": len(windows["warm"]),
                     "warm_latencies": len(latencies)},
     }
     if spans is not None:
