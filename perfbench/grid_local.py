@@ -136,7 +136,9 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
 
     cell_seconds = [[] for _ in specs]        # cold, per pass
     cell_warm_seconds = [[] for _ in specs]   # warm, per re-run
-    latencies = []
+    task_warm_seconds = [[] for _ in range(tasks_total)]
+    offsets = [sum(len(ref) for ref in reference[:i])
+               for i in range(len(specs))]
     solved_rows: list[dict] = []
     rep_dir = harness.WORK / "tmp" / "grid-cold"
 
@@ -181,7 +183,8 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
                         task.key
                     with spans.span("campaign.execute", task.index):
                         row = execute_tasks([task], cache=cache, **extra)[0]
-                latencies.append(time.perf_counter() - ts)
+                task_warm_seconds[offsets[i] + task.index].append(
+                    time.perf_counter() - ts)
                 if row["resolution"] != "cached-ok" \
                         or strip_volatile(row) != reference[i][task.index]:
                     warm.fail(f"warm {CELLS[i][2]} task {task.index} "
@@ -196,7 +199,7 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
     host_ms: list[float] = []
     harness.alternate(cold_pass, warm_pass, seconds, MIN_REPS, host_ms)
 
-    p50, p99 = harness.best_group_percentiles(latencies, tasks_total)
+    p50, p99 = harness.quiet_percentiles(task_warm_seconds)
     out = {
         "phases": [cold, warm],
         # best of the repetitions per cell: the host's stalls only slow
@@ -207,7 +210,7 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
         "host_ms": host_ms,
         "samples": {"cold_reps": len(windows["cold"]),
                     "warm_reruns": len(windows["warm"]),
-                    "warm_latencies": len(latencies)},
+                    "warm_latencies": sum(map(len, task_warm_seconds))},
     }
     if spans is not None:
         out["layers"] = _layers(specs, spans, windows, solved_rows, rep_dir)

@@ -91,21 +91,33 @@ def pct(values, q: float) -> float:
     return ordered[rank - 1]
 
 
-def best_group_percentiles(latencies: list[float],
-                           unit: int = 1) -> tuple[float, float]:
+def best_group_percentiles(latencies: list[float]) -> tuple[float, float]:
     """p50 and p99 of the quietest run of consecutive samples.
 
-    The samples are cut into consecutive groups of whole ``unit``s (a pass
-    over the same operations, so every group holds the same mix) and at
-    least 1000 samples, so every p99 keeps ten samples beyond it.  The
-    lowest p50 and p99 over the groups are reported: stalls of a shared
-    host only add time, so the quietest group reads the program steadiest.
+    The samples are cut into consecutive groups of at least 1000, so every
+    p99 keeps ten samples beyond it.  The lowest p50 and p99 over the
+    groups are reported: stalls of a shared host only add time, so the
+    quietest group reads the program steadiest.
     """
-    size = math.ceil(1000 / unit) * unit
-    count = max(1, len(latencies) // size)
+    count = max(1, len(latencies) // 1000)
+    size = len(latencies) // count
     groups = [latencies[i * size:(i + 1) * size] for i in range(count)]
     return (min(pct(g, 50) for g in groups),
             min(pct(g, 99) for g in groups))
+
+
+def quiet_percentiles(per_op: list[list[float]]) -> tuple[float, float]:
+    """p50 and p99 over each operation's fastest warm samples.
+
+    Every operation of a fixed set was timed once per pass.  Each keeps
+    its ``k`` fastest samples, with ``k`` just large enough for the pool
+    to hold 1000 samples (ten beyond p99).  Stalls of a shared host only
+    add time, so the pool keeps the operations' own spread (a shard load,
+    a larger row) and drops the host's.
+    """
+    k = math.ceil(1000 / len(per_op))
+    pool = [t for samples in per_op for t in sorted(samples)[:k]]
+    return pct(pool, 50), pct(pool, 99)
 
 
 def alternate(cold_pass, warm_pass, seconds: float, min_rounds: int,

@@ -143,7 +143,6 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
 
     front_seconds = [[] for _ in specs]        # cold, per pass
     front_warm_seconds = [[] for _ in specs]   # warm, per pass
-    latencies = []
     solved_rows: list[dict] = []
 
     def cold_pass() -> None:
@@ -182,8 +181,7 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
             else:
                 with spans.span("analysis.front"):
                     fronts.append(_front(spec, cache))
-            latencies.append(time.perf_counter() - ts)
-            front_warm_seconds[i].append(latencies[-1])
+            front_warm_seconds[i].append(time.perf_counter() - ts)
         t1 = time.perf_counter()
         cache.close()
         windows["warm"].append((t0, t1))
@@ -194,7 +192,7 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
     host_ms: list[float] = []
     harness.alternate(cold_pass, warm_pass, seconds, MIN_REPS, host_ms)
 
-    p50, p99 = harness.best_group_percentiles(latencies, len(specs))
+    p50, p99 = harness.quiet_percentiles(front_warm_seconds)
     out = {
         "phases": [cold, warm],
         # best of the repetitions per front: the host's stalls only slow
@@ -205,7 +203,7 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
         "host_ms": host_ms,
         "samples": {"cold_reps": len(windows["cold"]),
                     "warm_passes": len(windows["warm"]),
-                    "warm_latencies": len(latencies)},
+                    "warm_latencies": sum(map(len, front_warm_seconds))},
     }
     if spans is not None:
         out["layers"] = _layers(specs, reference, spans, windows,
