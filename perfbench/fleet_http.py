@@ -79,13 +79,16 @@ def prepare(seed: int):
     return halves, Phase("prepare")
 
 
+def _launch_s(name: str) -> float:
+    """One ``repro serve`` launch on a fresh cache, until it is healthy."""
+    server = harness.Server(work_dir(name))
+    server.stop()
+    return server.setup_s
+
+
 def setup_samples() -> list[float]:
-    samples = []
-    for i in range(harness.SETUP_LAUNCHES - 1):
-        server = harness.Server(work_dir(f"fleet-setup-{i}"))
-        samples.append(server.setup_s)
-        server.stop()
-    return samples
+    return [_launch_s(f"fleet-setup-{i}")
+            for i in range(harness.SETUP_LAUNCHES - 1)]
 
 
 def cleanup(prepared) -> None:
@@ -243,6 +246,7 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
         # histogram sums and counts (the scrapes fall between blocks)
         server_hist = {"cold": {}, "warm": {}}
         host_ms: list[float] = []
+        setup: list[float] = []
         deadline = time.perf_counter() + seconds
         while time.perf_counter() < deadline or not windows["warm"]:
             host_ms.append(harness.ref_loop_ms())
@@ -261,6 +265,12 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
                         server_hist[phase][name] = \
                             server_hist[phase].get(name, 0.0) \
                             + value - before.get(name, 0.0)
+            # a set-up launch after every second block pair; the blocks
+            # still get ``seconds``
+            if spans is None and len(windows["warm"]) % 2 == 0:
+                t0 = time.perf_counter()
+                setup.append(_launch_s(f"fleet-launch-{len(setup)}"))
+                deadline += time.perf_counter() - t0
         scrape_ms = []
         for _ in range(10):
             t0 = time.perf_counter()
@@ -316,7 +326,7 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
         "warm_ops_s": max(rates["warm"]),
         "warm_p50_ms": p50 * 1000.0,
         "warm_p99_ms": p99 * 1000.0,
-        "setup_samples": [server.setup_s],
+        "setup_samples": [server.setup_s] + setup,
         "server_rss_mb": server_rss,
         "host_ms": host_ms,
         "samples": {"cold_ops": work_cold + sub_cold,

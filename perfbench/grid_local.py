@@ -134,7 +134,9 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
     windows = {"cold": [], "warm": []}
     tasks_total = sum(len(ref) for ref in reference)
 
-    cell_seconds = [[] for _ in specs]        # cold, per pass
+    # cold, per pass: each cell's run_campaign cut at its progress calls
+    # into one unit per task (solve and put) plus the tail after the last
+    unit_seconds = [[[] for _ in range(len(ref) + 1)] for ref in reference]
     cell_warm_seconds = [[] for _ in specs]   # warm, per re-run
     task_warm_seconds = [[] for _ in range(tasks_total)]
     offsets = [sum(len(ref) for ref in reference[:i])
@@ -150,9 +152,18 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
         t0 = time.perf_counter()
         cache = _open(rep_dir, spans)
         for i, spec in enumerate(specs):
-            ts = time.perf_counter()
-            rows = run_campaign(spec, cache=cache, **extra).rows
-            cell_seconds[i].append(time.perf_counter() - ts)
+            marks = [time.perf_counter()]
+            rows = run_campaign(
+                spec, cache=cache,
+                progress=lambda done, total: marks.append(
+                    time.perf_counter()),
+                **extra).rows
+            marks.append(time.perf_counter())
+            if len(marks) != len(unit_seconds[i]) + 1:
+                cold.fail(f"cold {CELLS[i][2]}: {len(marks) - 2} progress "
+                          f"calls for {len(rows)} tasks")
+            for unit, start, end in zip(unit_seconds[i], marks, marks[1:]):
+                unit.append(end - start)
             solved_rows += rows
             for row, ref in zip(rows, reference[i]):
                 if row["resolution"] != "solved" \
@@ -197,17 +208,24 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
         warm.attempted += tasks_total
 
     host_ms: list[float] = []
-    harness.alternate(cold_pass, warm_pass, seconds, MIN_REPS, host_ms)
+    setup: list[float] = []
+    harness.alternate(
+        cold_pass, warm_pass, seconds, MIN_REPS, host_ms,
+        None if spans is not None
+        else lambda: setup.append(harness.import_launch_s()))
 
-    p50, p99 = harness.quiet_percentiles(task_warm_seconds)
+    warm_best = [min(t) for t in task_warm_seconds]
     out = {
         "phases": [cold, warm],
-        # best of the repetitions per cell: the host's stalls only slow
-        "cold_ops_s": tasks_total / sum(min(t) for t in cell_seconds),
+        # best of the repetitions per unit (cold: task, warm: cell): the
+        # host's stalls only slow
+        "cold_ops_s": tasks_total / sum(min(t) for units in unit_seconds
+                                        for t in units),
         "warm_ops_s": tasks_total / sum(min(t) for t in cell_warm_seconds),
-        "warm_p50_ms": p50 * 1000.0,
-        "warm_p99_ms": p99 * 1000.0,
+        "warm_p50_ms": harness.pct(warm_best, 50) * 1000.0,
+        "warm_p99_ms": harness.pct(warm_best, 99) * 1000.0,
         "host_ms": host_ms,
+        "setup_samples": setup,
         "samples": {"cold_reps": len(windows["cold"]),
                     "warm_reruns": len(windows["warm"]),
                     "warm_latencies": sum(map(len, task_warm_seconds))},

@@ -31,7 +31,9 @@ TRACES = WORK / "traces"
 LAYERS = ("serialization", "algorithms", "analysis", "campaign", "service",
           "obs")
 
-#: Launches per run behind ``setup_s`` (the median is reported).
+#: Launches before the timed phases behind ``setup_s`` (the median is
+#: reported).  Every workload adds launches between its timed passes or
+#: blocks, so the samples span the run's slow and quiet spells.
 SETUP_LAUNCHES = 7
 
 
@@ -106,26 +108,14 @@ def best_group_percentiles(latencies: list[float]) -> tuple[float, float]:
             min(pct(g, 99) for g in groups))
 
 
-def quiet_percentiles(per_op: list[list[float]]) -> tuple[float, float]:
-    """p50 and p99 over each operation's fastest warm samples.
-
-    Every operation of a fixed set was timed once per pass.  Each keeps
-    its ``k`` fastest samples, with ``k`` just large enough for the pool
-    to hold 1000 samples (ten beyond p99).  Stalls of a shared host only
-    add time, so the pool keeps the operations' own spread (a shard load,
-    a larger row) and drops the host's.
-    """
-    k = math.ceil(1000 / len(per_op))
-    pool = [t for samples in per_op for t in sorted(samples)[:k]]
-    return pct(pool, 50), pct(pool, 99)
-
-
 def alternate(cold_pass, warm_pass, seconds: float, min_rounds: int,
-              host_ms: list[float]) -> None:
+              host_ms: list[float], between=None) -> None:
     """Alternate one cold pass with warm passes of about the same length
     until ``seconds`` are spent, so a slow spell of the host falls on both
     phases alike instead of on one of them.  A host-speed sample is taken
-    after every pass batch and appended to ``host_ms``."""
+    after every pass batch and appended to ``host_ms``; ``between``, if
+    given, is called after every round, and the time it takes is added to
+    the run so the passes still get ``seconds``."""
     deadline = time.perf_counter() + seconds
     rounds = 0
     while rounds < min_rounds or time.perf_counter() < deadline:
@@ -138,6 +128,10 @@ def alternate(cold_pass, warm_pass, seconds: float, min_rounds: int,
         while time.perf_counter() - t1 < cold_seconds:
             warm_pass()
         host_ms.append(ref_loop_ms())
+        if between is not None:
+            t2 = time.perf_counter()
+            between()
+            deadline += time.perf_counter() - t2
         rounds += 1
 
 
@@ -162,23 +156,26 @@ def _stop(proc: subprocess.Popen) -> None:
             stream.close()
 
 
-def import_setup_s() -> list[float]:
+def import_launch_s() -> float:
     """Seconds from launching a fresh interpreter to ``import repro`` done."""
-    samples = []
-    for _ in range(SETUP_LAUNCHES):
-        t0 = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-c", "import repro; print('ready', flush=True)"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
-            env=program_env(), text=True,
-        )
-        line = proc.stdout.readline()
-        samples.append(time.perf_counter() - t0)
-        proc.wait(timeout=60)
-        _stop(proc)
-        if line.strip() != "ready" or proc.returncode != 0:
-            raise CheckFailed("a fresh interpreter could not import repro")
-    return samples
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import repro; print('ready', flush=True)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
+        env=program_env(), text=True,
+    )
+    line = proc.stdout.readline()
+    seconds = time.perf_counter() - t0
+    proc.wait(timeout=60)
+    _stop(proc)
+    if line.strip() != "ready" or proc.returncode != 0:
+        raise CheckFailed("a fresh interpreter could not import repro")
+    return seconds
+
+
+def import_setup_s() -> list[float]:
+    """``SETUP_LAUNCHES`` launches of :func:`import_launch_s`."""
+    return [import_launch_s() for _ in range(SETUP_LAUNCHES)]
 
 
 class Server:

@@ -132,7 +132,6 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
     specs, reference, warm_dir, _ = prepared
     cold, warm = Phase("cold"), Phase("warm")
     windows = {"cold": [], "warm": []}
-    solved_rows: list[dict] = []
 
     def compare(fronts, phase: Phase) -> None:
         phase.attempted += len(fronts)
@@ -190,17 +189,25 @@ def measure(seed: int, seconds: float, prepared, spans: Spans | None):
             warm.fail(f"{cache.misses} warm sweep tasks missed the cache")
 
     host_ms: list[float] = []
-    harness.alternate(cold_pass, warm_pass, seconds, MIN_REPS, host_ms)
+    setup: list[float] = []
+    harness.alternate(
+        cold_pass, warm_pass, seconds, MIN_REPS, host_ms,
+        None if spans is not None
+        else lambda: setup.append(harness.import_launch_s()))
 
-    p50, p99 = harness.quiet_percentiles(front_warm_seconds)
+    # best of the repetitions per front: the host's stalls only slow.  The
+    # warm percentiles are taken over the fronts' best times too: any pool
+    # that keeps more than one sample per front lets the host's slow spells
+    # into the figure (see README.md, "Steadiness").
+    warm_best = [min(t) for t in front_warm_seconds]
     out = {
         "phases": [cold, warm],
-        # best of the repetitions per front: the host's stalls only slow
         "cold_ops_s": len(specs) / sum(min(t) for t in front_seconds),
-        "warm_ops_s": len(specs) / sum(min(t) for t in front_warm_seconds),
-        "warm_p50_ms": p50 * 1000.0,
-        "warm_p99_ms": p99 * 1000.0,
+        "warm_ops_s": len(specs) / sum(warm_best),
+        "warm_p50_ms": harness.pct(warm_best, 50) * 1000.0,
+        "warm_p99_ms": harness.pct(warm_best, 99) * 1000.0,
         "host_ms": host_ms,
+        "setup_samples": setup,
         "samples": {"cold_reps": len(windows["cold"]),
                     "warm_passes": len(windows["warm"]),
                     "warm_latencies": sum(map(len, front_warm_seconds))},
