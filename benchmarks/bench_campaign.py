@@ -6,8 +6,8 @@ Run standalone to (re)generate the machine-readable trajectory file::
     PYTHONPATH=src python benchmarks/bench_campaign.py --smoke    # CI smoke
 
 The full run drives a 100-instance x 2-objective grid (200 tasks: the
-NP-hard heterogeneous-pipeline period cell solved exactly through the bnb
-engine, plus the polynomial Theorem 6 latency cell) three ways:
+NP-hard heterogeneous-pipeline period cell solved exactly, plus the
+polynomial Theorem 6 latency cell) three ways:
 
 1. serial reference (``workers=0``, cold cache),
 2. process-pool fan-out (cold cache) — rows must be identical to serial
@@ -16,10 +16,12 @@ engine, plus the polynomial Theorem 6 latency cell) three ways:
    be >= 95% (it is 100% by construction).
 
 Wall-clock for all three plus the measured speedup land in
-``BENCH_campaign.json`` at the repository root.  NOTE: the speedup column
-is only meaningful on multi-core hosts; the reference container exposes a
-single CPU, where fan-out adds fork overhead instead of parallelism — the
-file records whatever the hardware gives, honestly.
+``BENCH_campaign.json`` at the repository root, labelled with the
+``algorithm`` the rows report (the exact period cell routes to the
+``exact-blocks`` shortcut, not the generic bnb engine).  NOTE: the
+speedup column is only meaningful on multi-core hosts; on a single CPU
+fan-out adds fork overhead instead of parallelism — the file records
+whatever the hardware gives, honestly.
 
 ``--smoke`` (used by CI) runs a 12-instance grid with 2 workers and the
 same three assertions against **both cache backends** (jsonl and
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 import platform as _platform_mod
 import sys
 import tempfile
@@ -73,6 +76,11 @@ def build_spec(num_instances: int, seed: int = SEED) -> CampaignSpec:
              "exact_fallback": True, "engine": "bnb"},
         ),
     )
+
+
+def algorithm_counts(rows: list[dict]) -> dict[str, int]:
+    """How many rows each solver produced, by the rows' ``algorithm``."""
+    return dict(sorted(Counter(row["algorithm"] for row in rows).items()))
 
 
 def run_harness(num_instances: int, workers: int, seed: int = SEED,
@@ -123,6 +131,7 @@ def run_harness(num_instances: int, workers: int, seed: int = SEED,
         "warm_cache_seconds": round(t_warm, 6),
         "cache_hit_fraction": round(hit_fraction, 4),
         "rows_identical": True,
+        "algorithms": algorithm_counts(serial.rows),
         "summary": summarize(serial, title=f"campaign {spec.name!r}"),
     }
 
@@ -152,11 +161,12 @@ def main(argv: list[str] | None = None) -> int:
         f"{workers} workers {measured['parallel_seconds']:.3f}s "
         f"(speedup {measured['speedup']:.2f}x); warm cache "
         f"{measured['warm_cache_seconds']:.3f}s at "
-        f"{measured['cache_hit_fraction']:.0%} hits"
+        f"{measured['cache_hit_fraction']:.0%} hits; algorithms "
+        f"{measured['algorithms']}"
     )
     payload = {
-        "benchmark": "campaign runner (het pipelines, exact bnb, "
-                     "period + latency)",
+        "benchmark": "campaign runner (het pipelines, period + latency; "
+                     f"{', '.join(measured['algorithms'])})",
         "seed": SEED,
         "python": sys.version.split()[0],
         "machine": _platform_mod.machine(),

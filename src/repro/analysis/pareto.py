@@ -19,7 +19,11 @@ from ..algorithms.problem import Objective, ProblemSpec, Solution
 from ..algorithms.registry import NPHardError
 from ..core.costs import FLOAT_TOL
 from ..core.exceptions import InfeasibleProblemError, ReproError
-from ..serialization import mapping_from_dict, spec_to_dict
+from ..serialization import (
+    mapping_from_dict,
+    normalized_instance_dict,
+    spec_to_dict,
+)
 
 __all__ = ["pareto_front", "threshold_grid", "non_dominated"]
 
@@ -141,6 +145,8 @@ def pareto_front(
         context_cache = ContextCache()
 
     instance = spec_to_dict(spec)
+    # every sweep task keys on the same instance: normalize it once
+    normalized = normalized_instance_dict(instance)
     solver = {
         "name": "pareto",
         "mode": "auto",
@@ -158,6 +164,7 @@ def pareto_front(
             period_bound=period_bound,
             latency_bound=None,
             solver=solver,
+            normalized_instance=normalized,
         )
 
     # two tasks never amortize a process pool: resolve the extremes

@@ -7,12 +7,16 @@ actual storage lives in a backend selected by name:
 ``"jsonl"`` (default)
     256 append-only JSONL shards under ``root/`` named by the first two
     hex characters of the key, e.g. ``root/a3.jsonl``.  Each line is one
-    ``{"version": 1, "key": ..., "row": {...}}`` record; a shard is
-    loaded into memory on first access and appended to on every put, so
+    ``{"version":1,"key":...,"row":{...},"ts":...}`` record.  A shard is
+    indexed into memory on first access and appended to on every put, so
     re-runs and overlapping campaigns resolve repeat keys without
-    re-solving.  A duplicate key keeps the *latest* appended record,
-    making re-puts an overwrite; :meth:`ResultCache.compact` rewrites the
-    shards dropping the superseded lines.
+    re-solving.  The index keeps every record as its encoded line, read
+    key and stamp from the writer's fixed layout (other layouts are
+    decoded in full), and decodes a row only when a get returns it — a
+    fresh dict per hit, and no decoding for the rows nobody reads.  A
+    duplicate key keeps the *latest* appended record, making re-puts an
+    overwrite; :meth:`ResultCache.compact` rewrites the shards dropping
+    the superseded lines and copying the kept ones byte for byte.
 
 ``"sqlite"``
     A single ``root/cache.sqlite`` database with one row per key
@@ -60,8 +64,8 @@ key.
 
 from __future__ import annotations
 
-import copy
 import json
+import re
 import sqlite3
 import time
 from pathlib import Path
@@ -91,6 +95,47 @@ _SQLITE_RECORD_OVERHEAD = 64
 def _now() -> float:
     """Record-timestamp clock (a seam so tests can pin time)."""
     return time.time()
+
+
+#: The fixed layout :meth:`JsonlBackend.store` writes:
+#: ``{"version":1,"key":"<64 hex>","row":<row>,"ts":<float>}``.
+_RECORD_HEAD = re.compile(
+    r'\{"version":%d,"key":"([0-9a-f]{64})","row":' % CACHE_VERSION
+)
+_RECORD_TS = ',"ts":'
+_JSON_NUMBER = re.compile(
+    r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+)
+
+
+def _index_record(line: str) -> tuple[str, float] | None:
+    """``(key, ts)`` of one JSONL cache record, or ``None`` to skip it.
+
+    A line in the writer's own layout is indexed from its head and tail
+    without decoding the row.  Any other line is decoded in full: one that
+    is not a current-version record (wrong version, wrong shape) gives
+    ``None``, one that is not JSON at all raises :class:`ValueError`.
+    """
+    head = _RECORD_HEAD.match(line)
+    if head is not None and line.endswith("}"):
+        # JSON strings escape their quotes, so the last ',"ts":' is the
+        # record's own tail; only a line torn just after a nested
+        # '"ts":<n>}' of the row can pass, and load() counts it corrupt
+        cut = line.rfind(_RECORD_TS)
+        start = cut + len(_RECORD_TS)
+        if cut > head.end() and _JSON_NUMBER.fullmatch(line, start,
+                                                       len(line) - 1):
+            return head.group(1), float(line[start:-1])
+    record = json.loads(line)
+    if (
+        not isinstance(record, dict)
+        or record.get("version") != CACHE_VERSION
+        or "key" not in record
+        or "row" not in record
+    ):
+        return None
+    # pre-timestamp records read as age 0.0 ("infinitely old")
+    return record["key"], record.get("ts", 0.0)
 
 
 class CacheBackend:
@@ -126,21 +171,27 @@ class CacheBackend:
 
 
 class JsonlBackend(CacheBackend):
-    """Sharded append-only JSONL store (the original cache format)."""
+    """Sharded append-only JSONL store (the original cache format).
+
+    Each loaded shard maps key -> the record's line exactly as it sits on
+    disk; the row is decoded only when :meth:`load` returns it.
+    """
 
     name = "jsonl"
 
     def __init__(self, root: Path) -> None:
         self.root = root
-        self._shards: dict[str, dict[str, dict]] = {}
-        self._stamps: dict[str, dict[str, float]] = {}
+        self._shards: dict[str, dict[str, str]] = {}
         # non-empty on-disk lines per loaded shard, maintained
         # incrementally so storage_stats() never has to re-read files
         self._line_counts: dict[str, int] = {}
         # unparseable lines per shard (torn trailing line from a crash
-        # mid-append, disk corruption): degraded to misses on load,
-        # surfaced in storage_stats, repaired by compact
+        # mid-append, disk corruption): degraded to misses, surfaced in
+        # storage_stats, repaired by compact
         self._corrupt_counts: dict[str, int] = {}
+        # shards whose file ends in a torn line with no newline: the next
+        # append starts a fresh line instead of gluing onto the torn one
+        self._torn_tails: set[str] = set()
 
     # -------------------------------------------------------------- shards
     def _shard_name(self, key: str) -> str:
@@ -149,63 +200,65 @@ class JsonlBackend(CacheBackend):
     def _shard_path(self, name: str) -> Path:
         return self.root / f"{name}.jsonl"
 
-    def _load_shard(self, name: str) -> dict[str, dict]:
+    def _load_shard(self, name: str) -> dict[str, str]:
         shard = self._shards.get(name)
         if shard is not None:
             return shard
         shard = {}
-        stamps: dict[str, float] = {}
         lines = corrupt = 0
-        path = self._shard_path(name)
-        if path.exists():
-            with path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    lines += 1
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        corrupt += 1
-                        continue
-                    if (
-                        not isinstance(record, dict)
-                        or record.get("version") != CACHE_VERSION
-                        or "key" not in record
-                        or "row" not in record
-                    ):
-                        continue
-                    shard[record["key"]] = record["row"]
-                    # pre-timestamp records read as age 0.0 ("infinitely
-                    # old"): under an age policy they are evicted first
-                    stamps[record["key"]] = record.get("ts", 0.0)
+        try:
+            text = self._shard_path(name).read_text()
+        except FileNotFoundError:
+            text = ""
+        if text and not text.endswith("\n"):
+            self._torn_tails.add(name)
+        for line in text.split("\n"):
+            line = line.strip()
+            if not line:
+                continue
+            lines += 1
+            try:
+                indexed = _index_record(line)
+            except ValueError:
+                corrupt += 1
+                continue
+            if indexed is not None:
+                shard[indexed[0]] = line
         self._shards[name] = shard
-        self._stamps[name] = stamps
         self._line_counts[name] = lines
         self._corrupt_counts[name] = corrupt
         return shard
 
     # -------------------------------------------------------------- api
     def load(self, key: str) -> dict | None:
-        row = self._load_shard(self._shard_name(key)).get(key)
-        # deep copy: the caller owns the result, the in-memory shard row
-        # must stay pristine for later hits of the same key
-        return copy.deepcopy(row) if row is not None else None
+        name = self._shard_name(key)
+        line = self._load_shard(name).get(key)
+        if line is None:
+            return None
+        try:
+            # a fresh decode per hit: the caller owns the row, and the
+            # stored line can never be mutated through it
+            return json.loads(line)["row"]
+        except ValueError:
+            # indexed from its layout but not valid JSON (e.g. a torn
+            # line that happens to end like a record): a corrupt miss
+            del self._shards[name][key]
+            self._corrupt_counts[name] += 1
+            return None
 
     def store(self, key: str, row: dict) -> None:
         name = self._shard_name(key)
-        ts = _now()
-        record = {"version": CACHE_VERSION, "key": key, "row": row, "ts": ts}
+        record = {"version": CACHE_VERSION, "key": key, "row": row,
+                  "ts": _now()}
+        # the encoded line is the stored state: it never aliases the
+        # caller's dict and is exactly what a cold reload would index
         line = json.dumps(record, separators=(",", ":"))
-        # parse our own serialization back: the in-memory row can never
-        # alias the caller's dict, and memory matches what a cold reload
-        # of the shard would see
-        self._load_shard(name)[key] = json.loads(line)["row"]
-        self._stamps[name][key] = ts
+        self._load_shard(name)[key] = line
         self._line_counts[name] += 1
+        lead = "\n" if name in self._torn_tails else ""
+        self._torn_tails.discard(name)
         with self._shard_path(name).open("a") as fh:
-            fh.write(line + "\n")
+            fh.write(lead + line + "\n")
 
     def keys(self) -> list[str]:
         out: list[str] = []
@@ -243,8 +296,9 @@ class JsonlBackend(CacheBackend):
 
         ``max_age_days`` drops records older than the horizon;
         ``max_bytes`` then evicts oldest-first until the rewritten store
-        fits the budget.  Reports superseded/stale lines dropped, torn
-        lines repaired, and policy evictions separately.
+        fits the budget.  Kept records are written back byte for byte.
+        Reports superseded/stale lines dropped, torn lines repaired, and
+        policy evictions separately.
         """
         before = after = dropped = corrupt_dropped = evicted = 0
         names = [path.stem for path in sorted(self.root.glob("*.jsonl"))]
@@ -257,58 +311,36 @@ class JsonlBackend(CacheBackend):
                 - self._corrupt_counts[name]
                 - len(self._shards[name])
             )
-
-        def _record_line(name: str, key: str) -> str:
-            return json.dumps(
-                {"version": CACHE_VERSION, "key": key,
-                 "row": self._shards[name][key],
-                 "ts": self._stamps[name].get(key, 0.0)},
-                separators=(",", ":"),
-            )
-
-        def _evict(name: str, key: str) -> None:
-            nonlocal evicted
-            del self._shards[name][key]
-            self._stamps[name].pop(key, None)
-            evicted += 1
-
-        if max_age_days is not None:
-            cutoff = _now() - max_age_days * 86400.0
-            for name in names:
-                stale = [key for key, ts in self._stamps[name].items()
-                         if ts < cutoff]
-                for key in stale:
-                    _evict(name, key)
-        if max_bytes is not None:
-            # the budget needs the exact on-disk line sizes; keep only
-            # the integer sizes, never a second encoded copy of the store
-            sizes: dict[tuple[str, str], int] = {}
-            total = 0
-            for name in names:
-                for key in self._shards[name]:
-                    size = len(_record_line(name, key)) + 1
-                    sizes[(name, key)] = size
-                    total += size
+        if max_age_days is not None or max_bytes is not None:
+            # (ts, shard, key): the record's write stamp, read back from
+            # its line; pre-timestamp records read as 0.0 ("infinitely
+            # old"), so every policy evicts them first
             oldest_first = sorted(
-                (self._stamps[name].get(key, 0.0), name, key)
-                for name in names for key in self._shards[name]
+                (_index_record(line)[1], name, key)
+                for name in names
+                for key, line in self._shards[name].items()
             )
-            for _, name, key in oldest_first:
-                if total <= max_bytes:
+            cutoff = (None if max_age_days is None
+                      else _now() - max_age_days * 86400.0)
+            total = sum(len(line) + 1 for name in names
+                        for line in self._shards[name].values())
+            for ts, name, key in oldest_first:
+                expired = cutoff is not None and ts < cutoff
+                if not expired and (max_bytes is None or total <= max_bytes):
                     break
-                total -= sizes[(name, key)]
-                _evict(name, key)
-        # streaming rewrite, one shard at a time — peak memory stays one
-        # encoded line, not a serialized copy of the whole store
+                total -= len(self._shards[name].pop(key)) + 1
+                evicted += 1
+        # streaming rewrite, one shard at a time
         for name in names:
             path = self._shard_path(name)
             tmp = path.with_suffix(".jsonl.tmp")
             with tmp.open("w") as fh:
-                for key in self._shards[name]:
-                    fh.write(_record_line(name, key) + "\n")
+                for line in self._shards[name].values():
+                    fh.write(line + "\n")
             tmp.replace(path)
             self._line_counts[name] = len(self._shards[name])
             self._corrupt_counts[name] = 0  # torn lines are never rewritten
+            self._torn_tails.discard(name)
             after += path.stat().st_size
         return {
             "backend": self.name,

@@ -188,6 +188,11 @@ class Task:
     (unlike :func:`repro.serialization.instance_digest`): cached rows
     carry mapping documents whose indices must match the instance they
     are served for.
+
+    ``normalized_instance`` optionally carries the already-normalized
+    instance document, so the tasks of one instance share a single
+    normalization; it is derived data, takes no part in equality, and
+    is released once :attr:`key` has been computed.
     """
 
     index: int
@@ -197,25 +202,33 @@ class Task:
     period_bound: float | None
     latency_bound: float | None
     solver: dict  # SolverConfig document
+    normalized_instance: dict | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @functools.cached_property
     def key(self) -> str:
         # cached: the normalization round-trip + sha256 is pure but not
         # free, and the orchestration loop reads the key more than once
-        try:
-            instance = normalized_instance_dict(self.instance)
-        except Exception:  # noqa: BLE001 — poisoned docs must still key
+        instance = self.normalized_instance
+        if instance is None:
+            instance = _normalized_or_none(self.instance)
+        if instance is None:
             # an invalid instance document cannot be normalized; hash it
             # raw so the task still gets a stable key and its failure is
             # recorded as an error row instead of killing the campaign
             instance = {"raw": self.instance}
-        return content_hash({
+        key = content_hash({
             "instance": instance,
             "objective": self.objective,
             "period_bound": self.period_bound,
             "latency_bound": self.latency_bound,
             "solver": canonical_solver_dict(self.solver),
         })
+        # the normalized document only feeds the key: a task list held
+        # for a whole run must not keep one per instance alive
+        object.__setattr__(self, "normalized_instance", None)
+        return key
 
     def to_dict(self) -> dict:
         return {
@@ -231,6 +244,14 @@ class Task:
     @classmethod
     def from_dict(cls, data: dict) -> "Task":
         return cls(**data)
+
+
+def _normalized_or_none(doc: dict) -> dict | None:
+    """:func:`normalized_instance_dict` of ``doc``, ``None`` if invalid."""
+    try:
+        return normalized_instance_dict(doc)
+    except Exception:  # noqa: BLE001 — poisoned docs must still key
+        return None
 
 
 def _normalize_objective(entry) -> dict:
@@ -417,13 +438,15 @@ class CampaignSpec:
         return out
 
     def tasks(self) -> list[Task]:
-        """The flat task grid, in deterministic order."""
+        """The flat task grid, in deterministic order, keys computed."""
         out: list[Task] = []
         index = 0
         for iid, doc in self.expand_instances():
+            # normalize once per instance, not once per objective x solver
+            normalized = _normalized_or_none(doc)
             for obj in self.objectives:
                 for solver in self.solvers:
-                    out.append(Task(
+                    task = Task(
                         index=index,
                         instance_id=iid,
                         instance=doc,
@@ -431,7 +454,12 @@ class CampaignSpec:
                         period_bound=obj["period_bound"],
                         latency_bound=obj["latency_bound"],
                         solver=solver.to_dict(),
-                    ))
+                        normalized_instance=normalized,
+                    )
+                    # key now, while this instance's normalized document
+                    # is shared; a whole grid of them is never held at once
+                    task.key
+                    out.append(task)
                     index += 1
         return out
 

@@ -10,9 +10,11 @@ eviction clocks) get their own classes below.
 """
 
 import json
+import shutil
 import sqlite3
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,9 @@ from repro.core import ReproError
 KEY_A = "aa" + "0" * 62
 KEY_B = "ab" + "0" * 62
 LOCAL_BACKENDS = ("jsonl", "sqlite")
+#: Shards written by the previous JSONL writer (rows decoded in memory,
+#: deep-copied per hit) plus the rows it served, in ``expected.json``.
+LEGACY_SHARDS = Path(__file__).parent / "data" / "jsonl_v1"
 
 
 @pytest.fixture(params=sorted(CACHE_BACKENDS))
@@ -275,6 +280,153 @@ class TestJsonlBackend:
         assert info["records_dropped"] == 1
         assert info["corrupt_dropped"] == 1
         assert ResultCache(tmp_path).get(KEY_A) == {"value": 1}
+
+
+class TestJsonlShardIndex:
+    """The shard index reads key and stamp from a record's fixed layout
+    and decodes the row only when a hit returns it."""
+
+    def _lines(self, shard):
+        return [line for line in shard.read_text().split("\n") if line]
+
+    def _store_lines(self, store):
+        return {line for path in store.glob("*.jsonl")
+                for line in self._lines(path)}
+
+    def test_row_strings_containing_the_ts_marker(self, tmp_path):
+        row = {"note": 'a,"ts":1} b', "keys": {',"ts":': ',"ts":2}'},
+               "nested": {"ts": 3}}
+        ResultCache(tmp_path).put(KEY_A, row)
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(KEY_A) == row
+        assert fresh.storage_stats()["corrupt_lines"] == 0
+
+    def test_hand_formatted_line_takes_the_fallback_path(self, tmp_path):
+        (tmp_path / "aa.jsonl").write_text(json.dumps(
+            {"key": KEY_A, "version": CACHE_VERSION, "row": {"value": 7},
+             "ts": 12.5}, indent=None, separators=(", ", ": ")
+        ) + "\n")
+        cache = ResultCache(tmp_path)
+        assert cache.get(KEY_A) == {"value": 7}
+        stats = cache.storage_stats()
+        assert (stats["keys"], stats["stale_records"],
+                stats["corrupt_lines"]) == (1, 0, 0)
+
+    def test_torn_trailing_line_is_a_counted_miss(self, tmp_path):
+        line = json.dumps({"version": CACHE_VERSION, "key": KEY_A,
+                           "row": {"value": 1}, "ts": 1.0},
+                          separators=(",", ":"))
+        (tmp_path / "aa.jsonl").write_text(line[:-9])
+        cache = ResultCache(tmp_path)
+        assert cache.get(KEY_A) is None
+        assert cache.storage_stats()["corrupt_lines"] == 1
+
+    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(KEY_A, {"value": 1})
+        shard = tmp_path / "aa.jsonl"
+        torn = self._lines(shard)[0]
+        shard.write_text(shard.read_text() + torn[:40])  # no newline
+        other = "aa" + "1" * 62
+        ResultCache(tmp_path).put(other, {"value": 2})
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(KEY_A) == {"value": 1}
+        assert fresh.get(other) == {"value": 2}
+        assert fresh.storage_stats()["corrupt_lines"] == 1
+
+    def test_version_mismatched_record_is_skipped(self, tmp_path):
+        ResultCache(tmp_path).put(KEY_A, {"value": 1})
+        shard = tmp_path / "aa.jsonl"
+        line = self._lines(shard)[0]
+        stale = line.replace('"version":%d' % CACHE_VERSION,
+                             '"version":%d' % (CACHE_VERSION + 1), 1)
+        shard.write_text(line + "\n" + stale.replace('"value":1',
+                                                     '"value":2') + "\n")
+        cache = ResultCache(tmp_path)
+        assert cache.get(KEY_A) == {"value": 1}  # the stale re-put is not
+        stats = cache.storage_stats()
+        assert (stats["stale_records"], stats["corrupt_lines"]) == (1, 0)
+
+    def test_row_that_fails_to_decode_is_a_corrupt_miss(self, tmp_path):
+        # the head and tail match the writer's layout, the row does not
+        # parse: indexed on load, a miss (counted once) on get
+        (tmp_path / "aa.jsonl").write_text(
+            '{"version":%d,"key":"%s","row":{"value":1,"ts":2}'
+            % (CACHE_VERSION, KEY_A) + "\n"
+        )
+        cache = ResultCache(tmp_path)
+        assert cache.get(KEY_A) is None
+        assert cache.get(KEY_A) is None
+        stats = cache.storage_stats()
+        assert (stats["keys"], stats["corrupt_lines"],
+                stats["stale_records"]) == (0, 1, 0)
+        assert cache.compact()["corrupt_dropped"] == 1
+        assert (tmp_path / "aa.jsonl").read_text() == ""
+
+    def test_compact_keeps_records_byte_identical(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(KEY_A, {"value": 1})
+        cache.put(KEY_A, {"value": 2, "pad": "x" * 50})
+        cache.put(KEY_B, {"value": 3})
+        shard = tmp_path / "aa.jsonl"
+        kept = self._lines(shard)[-1]
+        hand = json.dumps({"version": CACHE_VERSION, "key": "aa" + "2" * 62,
+                           "row": {"value": 4}})  # default, spaced layout
+        shard.write_text(shard.read_text() + hand + "\n")
+        before_b = (tmp_path / "ab.jsonl").read_text()
+        info = ResultCache(tmp_path).compact()
+        assert info["records_dropped"] == 1
+        assert self._lines(shard) == [kept, hand]
+        assert (tmp_path / "ab.jsonl").read_text() == before_b
+
+    def test_max_bytes_budget_is_exact_line_sizes(self, tmp_path,
+                                                  monkeypatch):
+        clock = iter(range(100, 200))
+        monkeypatch.setattr(cache_mod, "_now", lambda: float(next(clock)))
+        cache = ResultCache(tmp_path)
+        for i in range(4):
+            cache.put(f"a{i}" + "0" * 62, {"value": i})
+        sizes = sorted(path.stat().st_size
+                       for path in tmp_path.glob("*.jsonl"))
+        budget = sum(sizes[-2:])  # lines are equal-sized: two fit exactly
+        info = cache.compact(max_bytes=budget)
+        assert info["records_evicted"] == 2
+        assert info["bytes_after"] == budget
+        assert sorted(cache.keys()) == ["a2" + "0" * 62, "a3" + "0" * 62]
+
+    def test_legacy_shards_read_back_to_the_same_rows(self, tmp_path):
+        store = tmp_path / "store"
+        shutil.copytree(LEGACY_SHARDS, store)
+        expected = json.loads((store / "expected.json").read_text())
+        cache = ResultCache(store)
+        assert {key: cache.get(key) for key in expected} == expected
+        stats = cache.storage_stats()
+        assert stats["keys"] == len(expected)
+        assert (stats["stale_records"], stats["corrupt_lines"]) == (1, 0)
+        # compact drops the superseded line, keeps every other verbatim
+        before = self._store_lines(store)
+        cache.compact()
+        after = self._store_lines(store)
+        assert after < before and len(before - after) == 1
+        again = ResultCache(store)
+        assert {key: again.get(key) for key in expected} == expected
+
+    def test_mutations_never_reach_later_hits(self, tmp_path):
+        row = {"mapping": {"groups": [{"stages": [0]}]}, "tags": ["a"]}
+        cache = ResultCache(tmp_path)
+        cache.put(KEY_A, row)
+        row["mapping"]["groups"][0]["stages"].append(1)
+        row["tags"].clear()
+        hit = cache.get(KEY_A)
+        assert hit == {"mapping": {"groups": [{"stages": [0]}]},
+                       "tags": ["a"]}
+        hit["mapping"]["groups"].append("poison")
+        hit["tags"].append("poison")
+        again = cache.get(KEY_A)
+        assert again == {"mapping": {"groups": [{"stages": [0]}]},
+                         "tags": ["a"]}
+        assert again is not hit
+        assert again["mapping"] is not hit["mapping"]
 
 
 class TestSqliteBackend:

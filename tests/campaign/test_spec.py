@@ -200,6 +200,35 @@ class TestTaskKeys:
         assert a.key != b.key
         assert instance_digest(a.instance) == instance_digest(b.instance)
 
+    def test_instance_normalized_once_per_expansion(self, monkeypatch):
+        from dataclasses import replace
+
+        import repro.campaign.spec as spec_mod
+
+        calls = []
+        real = spec_mod.normalized_instance_dict
+        monkeypatch.setattr(spec_mod, "normalized_instance_dict",
+                            lambda doc: calls.append(doc) or real(doc))
+        tasks = small_spec(
+            objectives=("period", "latency"),
+            solvers=({"name": "a"}, {"name": "b", "mode": "random"}),
+        ).tasks()
+        assert len(tasks) == 4 and len(calls) == 1
+        # keys are computed during expansion, the shared document is
+        # released, and each key matches a task normalizing on its own
+        assert all(t.normalized_instance is None for t in tasks)
+        alone = [replace(t) for t in tasks]
+        assert [t.key for t in tasks] == [t.key for t in alone]
+        assert len(calls) == 1 + len(tasks)
+
+    def test_invalid_instance_keys_raw_document(self):
+        bad = small_spec(instances=(
+            {"type": "explicit", "application": {"kind": "pipeline"},
+             "platform": PLAT, "id": "bad"},
+        )).tasks()[0]
+        assert bad.normalized_instance is None
+        assert len(bad.key) == 64
+
     def test_budget_knobs_key_exact_modes_only(self):
         base = self.task()
         budgeted = self.task(solvers=({"name": "auto", "max_nodes": 2000},))
