@@ -24,8 +24,7 @@ fan-out adds fork overhead instead of parallelism — the file records
 whatever the hardware gives, honestly.
 
 ``--smoke`` (used by CI) runs a 12-instance grid with 2 workers and the
-same three assertions against **both cache backends** (jsonl and
-sqlite), writing no trajectory file.
+same three assertions, writing no trajectory file.
 """
 
 from __future__ import annotations
@@ -83,13 +82,13 @@ def algorithm_counts(rows: list[dict]) -> dict[str, int]:
     return dict(sorted(Counter(row["algorithm"] for row in rows).items()))
 
 
-def run_harness(num_instances: int, workers: int, seed: int = SEED,
-                backend: str = "jsonl") -> dict:
+def run_harness(num_instances: int, workers: int,
+                seed: int = SEED) -> dict:
     """Serial vs parallel vs warm-cache; asserts the subsystem contracts."""
     spec = build_spec(num_instances, seed)
     with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
-        serial_cache = ResultCache(Path(tmp) / "serial", backend=backend)
-        parallel_cache = ResultCache(Path(tmp) / "parallel", backend=backend)
+        serial_cache = ResultCache(Path(tmp) / "serial")
+        parallel_cache = ResultCache(Path(tmp) / "parallel")
 
         t0 = time.perf_counter()
         serial = run_campaign(spec, cache=serial_cache, workers=0)
@@ -115,16 +114,11 @@ def run_harness(num_instances: int, workers: int, seed: int = SEED,
         )
         assert [strip_volatile(r) for r in warm.rows] == serial_rows
 
-        # an open sqlite connection would break the tempdir cleanup on
-        # platforms that refuse to delete open files
-        serial_cache.close()
-        parallel_cache.close()
-
     return {
         "instances": num_instances,
         "tasks": serial.stats["tasks"],
         "workers": workers,
-        "cache_backend": backend,
+        "cache_backend": parallel_cache.backend,
         "serial_seconds": round(t_serial, 6),
         "parallel_seconds": round(t_parallel, 6),
         "speedup": round(t_serial / max(t_parallel, 1e-9), 3),
@@ -140,22 +134,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     smoke = "--smoke" in argv
     workers = max(2, min(4, os.cpu_count() or 1))
-    if smoke:
-        # CI: exercise the full contract against every cache backend
-        for backend in ("jsonl", "sqlite"):
-            measured = run_harness(SMOKE_INSTANCES, workers, backend=backend)
-            measured.pop("summary")
-            print(
-                f"[{backend}] serial {measured['serial_seconds']:.3f}s vs "
-                f"{workers} workers {measured['parallel_seconds']:.3f}s "
-                f"(speedup {measured['speedup']:.2f}x); warm cache "
-                f"{measured['warm_cache_seconds']:.3f}s at "
-                f"{measured['cache_hit_fraction']:.0%} hits"
-            )
-        print("campaign smoke ok (jsonl + sqlite)")
-        return 0
-    measured = run_harness(FULL_INSTANCES, workers)
-    print(measured.pop("summary"))
+    measured = run_harness(SMOKE_INSTANCES if smoke else FULL_INSTANCES,
+                           workers)
+    summary = measured.pop("summary")
+    if not smoke:
+        print(summary)
     print(
         f"serial {measured['serial_seconds']:.3f}s vs "
         f"{workers} workers {measured['parallel_seconds']:.3f}s "
@@ -164,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{measured['cache_hit_fraction']:.0%} hits; algorithms "
         f"{measured['algorithms']}"
     )
+    if smoke:
+        print("campaign smoke ok")
+        return 0
     payload = {
         "benchmark": "campaign runner (het pipelines, period + latency; "
                      f"{', '.join(measured['algorithms'])})",

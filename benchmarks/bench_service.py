@@ -17,9 +17,12 @@ this cell is the ``exact-blocks`` shortcut rather than the bnb engine):
    the content-addressed cache (hit fraction asserted = 100%), so the
    cold/warm latency ratio is the solver time the cache removes;
 3. **coalesced** — N concurrent identical requests for a *fresh,
-   larger* instance: single-flight must run the underlying solver
-   exactly once (asserted through ``/v1/stats``), so the fleet pays one
-   solve instead of N.
+   larger* instance, released together by a barrier: single-flight
+   must run the underlying solver exactly once and the other N-1 must
+   piggyback on it (asserted through ``/v1/stats``), so the fleet pays
+   one solve instead of N.  The shared solve is held until all N-1
+   followers are registered, so no request can arrive after it ends and
+   be served from the cache instead.
 
 Results land in ``BENCH_service.json`` at the repository root.  NOTE:
 the reference container is single-core — request latencies include HTTP
@@ -43,7 +46,9 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
+import repro.service.server as server_mod
 from repro.campaign import ResultCache
 from repro.generators import random_pipeline, random_platform
 from repro.serialization import application_to_dict, platform_to_dict
@@ -115,6 +120,28 @@ def _latencies_ms(client: ServiceClient, requests: list[dict],
     return out
 
 
+def held_solve(release: threading.Event):
+    """``solve_task`` that starts only once ``release`` is set."""
+    solve_task = server_mod.solve_task
+
+    def solve(task):
+        if not release.wait(timeout=60.0):
+            raise TimeoutError("coalesced requests never all arrived")
+        return solve_task(task)
+
+    return solve
+
+
+def wait_for_followers(client: ServiceClient, coalesced: int,
+                       timeout: float = 60.0) -> None:
+    """Poll ``/v1/stats`` until ``coalesced`` requests piggyback."""
+    deadline = time.monotonic() + timeout
+    while client.stats()["service"]["coalesced"] < coalesced:
+        if time.monotonic() > deadline:
+            return  # the caller's exact assertion reports the shortfall
+        time.sleep(0.002)
+
+
 def run_harness(num_instances: int) -> dict:
     """Cold / warm / coalesced regimes; asserts the service contracts."""
     requests = build_requests(num_instances)
@@ -140,12 +167,23 @@ def run_harness(num_instances: int) -> dict:
 
             before = stats["service"]
             request = coalesce_request()
+            barrier = threading.Barrier(CONCURRENT_CLIENTS)
+            release = threading.Event()
+
+            def together(_):
+                barrier.wait(timeout=60.0)
+                return client.solve(request)
+
             t0 = time.perf_counter()
-            with ThreadPoolExecutor(max_workers=CONCURRENT_CLIENTS) as pool:
-                responses = list(pool.map(
-                    lambda _: client.solve(request),
-                    range(CONCURRENT_CLIENTS),
-                ))
+            with mock.patch.object(server_mod, "solve_task",
+                                   held_solve(release)), \
+                    ThreadPoolExecutor(max_workers=CONCURRENT_CLIENTS) as pool:
+                pending = [pool.submit(together, i)
+                           for i in range(CONCURRENT_CLIENTS)]
+                wait_for_followers(client, before["coalesced"]
+                                   + CONCURRENT_CLIENTS - 1)
+                release.set()
+                responses = [f.result() for f in pending]
             coalesced_wall = time.perf_counter() - t0
             after = client.stats()["service"]
             assert after["solves"] - before["solves"] == 1, (

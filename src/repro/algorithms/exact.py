@@ -257,7 +257,6 @@ def makespan_partition_exact(
         raise ReproError("need at least one machine")
     items = sorted(range(len(works)), key=lambda i: -works[i])
     total = sum(works)
-    lower = max(total / machines, max(works, default=0.0))
 
     best_value = float("inf")
     best_assign: list[list[int]] | None = None
@@ -295,7 +294,6 @@ def makespan_partition_exact(
     recurse(0, total)
     if best_assign is None:  # pragma: no cover - max(works) always feasible
         raise InfeasibleProblemError("makespan search failed")
-    del lower
     return best_value, best_assign
 
 

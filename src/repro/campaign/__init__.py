@@ -5,8 +5,8 @@ Turns "solve one instance" into "run an experiment campaign":
 * :mod:`repro.campaign.spec` — versioned, JSON-round-trippable
   :class:`CampaignSpec` describing instances x objectives x solvers;
 * :mod:`repro.campaign.cache` — content-addressed persistent
-  :class:`ResultCache` with pluggable storage backends (sharded JSONL,
-  a single sqlite database, or a remote solver service over HTTP),
+  :class:`ResultCache` over a local directory of sharded JSONL files
+  or a remote solver service over HTTP,
   keyed by canonical instance+config hashes so re-runs and overlapping
   campaigns re-use every solve; superseded records are reclaimed by
   ``compact()``, which also takes age/size eviction policies;
@@ -45,14 +45,12 @@ Quick start::
 """
 
 from .cache import (
-    CACHE_BACKENDS,
     CACHE_VERSION,
     CacheBackend,
     CircuitBreakerBackend,
     HttpCacheBackend,
     JsonlBackend,
     ResultCache,
-    SqliteBackend,
 )
 from .chaos import ChaosBackend, ChaosError
 from .profile import (
@@ -85,13 +83,11 @@ from .spec import SPEC_VERSION, CampaignSpec, SolverConfig, Task
 __all__ = [
     "SPEC_VERSION",
     "CACHE_VERSION",
-    "CACHE_BACKENDS",
     "CampaignSpec",
     "SolverConfig",
     "Task",
     "CacheBackend",
     "JsonlBackend",
-    "SqliteBackend",
     "HttpCacheBackend",
     "CircuitBreakerBackend",
     "ChaosBackend",

@@ -1,10 +1,12 @@
-"""Content-addressed persistent result cache with pluggable backends.
+"""Content-addressed persistent result cache: a local directory or a URL.
 
-Rows are keyed by the :class:`~repro.campaign.spec.Task` content hash.
-:class:`ResultCache` is the public surface the runner talks to; the
-actual storage lives in a backend selected by name:
+Rows are keyed by the :class:`~repro.campaign.spec.Task` content hash, a
+64-character lowercase hex digest; any other key is a
+:class:`~repro.core.exceptions.ReproError`.  :class:`ResultCache` is the
+public surface the runner talks to; the actual storage lives in one of
+two backends, chosen by where the cache lives:
 
-``"jsonl"`` (default)
+``"jsonl"`` (a cache directory, the default)
     256 append-only JSONL shards under ``root/`` named by the first two
     hex characters of the key, e.g. ``root/a3.jsonl``.  Each line is one
     ``{"version":1,"key":...,"row":{...},"ts":...}`` record.  A shard is
@@ -16,16 +18,11 @@ actual storage lives in a backend selected by name:
     fresh dict per hit, and no decoding for the rows nobody reads.  A
     duplicate key keeps the *latest* appended record, making re-puts an
     overwrite; :meth:`ResultCache.compact` rewrites the shards dropping
-    the superseded lines and copying the kept ones byte for byte.
+    the superseded lines and copying the kept ones byte for byte.  A
+    ``root/cache.sqlite`` left by the retired sqlite backend is imported
+    into the shards once, on first open (see :func:`_import_sqlite`).
 
-``"sqlite"``
-    A single ``root/cache.sqlite`` database with one row per key
-    (``INSERT OR REPLACE``), for long-lived or shared cache directories
-    where 256 growing shard files are unwieldy.  Same keys, same record
-    version, same semantics — the local backends are interchangeable and
-    pass one contract test suite.
-
-``"http"``
+``"http"`` (a solver-service URL)
     A remote cache: every ``load``/``store`` is a ``GET``/``PUT`` against
     a running solver service (``python -m repro serve``, see
     :mod:`repro.service`), so many campaign runners on a shared cluster
@@ -33,7 +30,7 @@ actual storage lives in a backend selected by name:
     ``ResultCache(url="http://host:port", backend="http")`` — no local
     directory is involved; storage and eviction happen server-side.
 
-The local backends degrade gracefully: unreadable lines and records with
+The local backend degrades gracefully: unreadable lines and records with
 a different format version are skipped on load — a corrupt or stale
 record is a cache miss, never an error.  Torn lines (a crash mid-append)
 are counted as ``corrupt_lines`` in :meth:`ResultCache.storage_stats`
@@ -53,8 +50,7 @@ cross-process locking is needed.  Every stored record carries a write
 timestamp, which :meth:`ResultCache.compact` can use for eviction
 policies: ``max_age_days`` drops records older than the horizon (records
 written before timestamps existed count as infinitely old), ``max_bytes``
-evicts oldest-first until the store fits the budget (exact line sizes for
-JSONL; stored-text length plus a fixed per-record overhead for sqlite).
+evicts oldest-first until the store fits the budget (exact line sizes).
 
 Rows returned by :meth:`ResultCache.get` are owned by the caller: they
 never alias the store's internal state, so mutating a hit (or the dict
@@ -66,7 +62,6 @@ from __future__ import annotations
 
 import json
 import re
-import sqlite3
 import time
 from pathlib import Path
 
@@ -74,10 +69,8 @@ from ..core.exceptions import ReproError
 
 __all__ = [
     "CACHE_VERSION",
-    "CACHE_BACKENDS",
     "CacheBackend",
     "JsonlBackend",
-    "SqliteBackend",
     "HttpCacheBackend",
     "CircuitBreakerBackend",
     "ResultCache",
@@ -87,14 +80,21 @@ __all__ = [
 #: everything previously stored (old records are skipped on load).
 CACHE_VERSION = 1
 
-#: Estimated per-record sqlite overhead (key text + row/index bookkeeping)
-#: used by the ``max_bytes`` eviction budget.
-_SQLITE_RECORD_OVERHEAD = 64
-
 
 def _now() -> float:
     """Record-timestamp clock (a seam so tests can pin time)."""
     return time.time()
+
+
+#: A task content hash; shard names and URLs are built from it, so a key
+#: like ``"/tkey"`` must never reach a backend.
+_KEY = re.compile(r"[0-9a-f]{64}")
+
+
+def _check_key(key: str) -> None:
+    if not isinstance(key, str) or _KEY.fullmatch(key) is None:
+        raise ReproError(f"malformed cache key {key!r}: expected 64 "
+                         "lowercase hex digits")
 
 
 #: The fixed layout :meth:`JsonlBackend.store` writes:
@@ -130,12 +130,64 @@ def _index_record(line: str) -> tuple[str, float] | None:
     if (
         not isinstance(record, dict)
         or record.get("version") != CACHE_VERSION
-        or "key" not in record
+        or not isinstance(record.get("key"), str)
+        or _KEY.fullmatch(record["key"]) is None
         or "row" not in record
     ):
         return None
     # pre-timestamp records read as age 0.0 ("infinitely old")
     return record["key"], record.get("ts", 0.0)
+
+
+def _encode_record(key: str, row: dict, ts: float) -> str:
+    """One record in the fixed layout :func:`_index_record` reads."""
+    return json.dumps({"version": CACHE_VERSION, "key": key, "row": row,
+                       "ts": ts}, separators=(",", ":"))
+
+
+def _import_sqlite(backend: JsonlBackend) -> None:
+    """Import a ``cache.sqlite`` of the retired sqlite backend, once.
+
+    Current-version rows are appended to the shards with their stored
+    write stamps (0.0 from a database older than stamps), so age
+    eviction still sees their true age.  Rows that are stale-version,
+    undecodable, malformed-key or older than the shards' record of the
+    key stay behind.  The file is then renamed ``cache.sqlite.migrated``
+    (a crash before that re-imports the same records).
+    """
+    path = backend.root / "cache.sqlite"
+    if not path.exists():
+        return
+    import sqlite3
+
+    try:
+        db = sqlite3.connect(path)
+        try:
+            columns = {info[1]
+                       for info in db.execute("PRAGMA table_info(rows)")}
+            stamp = "ts" if "ts" in columns else "0.0"
+            records = db.execute(
+                f"SELECT key, row, {stamp} FROM rows WHERE version = ?"
+                " ORDER BY key", (CACHE_VERSION,)
+            ).fetchall()
+        finally:
+            db.close()
+    except sqlite3.DatabaseError as exc:
+        raise ReproError(f"cannot import the sqlite cache {path}: {exc}") \
+            from None
+    for key, text, ts in records:
+        if not isinstance(key, str) or _KEY.fullmatch(key) is None:
+            continue
+        held = backend._load_shard(backend._shard_name(key)).get(key)
+        if held is not None and _index_record(held)[1] >= ts:
+            continue  # the shards hold a newer record of this key
+        try:
+            row = json.loads(text)
+        except (TypeError, ValueError):
+            continue
+        if isinstance(row, dict):
+            backend.append(key, _encode_record(key, row, float(ts)))
+    path.rename(path.with_name("cache.sqlite.migrated"))
 
 
 class CacheBackend:
@@ -192,6 +244,7 @@ class JsonlBackend(CacheBackend):
         # shards whose file ends in a torn line with no newline: the next
         # append starts a fresh line instead of gluing onto the torn one
         self._torn_tails: set[str] = set()
+        _import_sqlite(self)
 
     # -------------------------------------------------------------- shards
     def _shard_name(self, key: str) -> str:
@@ -247,12 +300,13 @@ class JsonlBackend(CacheBackend):
             return None
 
     def store(self, key: str, row: dict) -> None:
-        name = self._shard_name(key)
-        record = {"version": CACHE_VERSION, "key": key, "row": row,
-                  "ts": _now()}
         # the encoded line is the stored state: it never aliases the
         # caller's dict and is exactly what a cold reload would index
-        line = json.dumps(record, separators=(",", ":"))
+        self.append(key, _encode_record(key, row, _now()))
+
+    def append(self, key: str, line: str) -> None:
+        """Append one encoded record (see :func:`_encode_record`)."""
+        name = self._shard_name(key)
         self._load_shard(name)[key] = line
         self._line_counts[name] += 1
         lead = "\n" if name in self._torn_tails else ""
@@ -351,133 +405,6 @@ class JsonlBackend(CacheBackend):
             "corrupt_dropped": corrupt_dropped,
             "records_evicted": evicted,
         }
-
-
-class SqliteBackend(CacheBackend):
-    """Single-file sqlite store: one row per key, re-puts replace."""
-
-    name = "sqlite"
-
-    def __init__(self, root: Path) -> None:
-        self.root = root
-        self.path = root / "cache.sqlite"
-        # check_same_thread=False: the solver service calls the cache from
-        # handler/pool threads; every caller that shares a backend across
-        # threads (only the service today) serializes access with a lock
-        self._db = sqlite3.connect(self.path, check_same_thread=False)
-        self._db.execute(
-            "CREATE TABLE IF NOT EXISTS rows ("
-            " key TEXT PRIMARY KEY,"
-            " version INTEGER NOT NULL,"
-            " row TEXT NOT NULL,"
-            " ts REAL NOT NULL DEFAULT 0)"
-        )
-        columns = {
-            info[1] for info in self._db.execute("PRAGMA table_info(rows)")
-        }
-        if "ts" not in columns:  # database from before record timestamps
-            self._db.execute(
-                "ALTER TABLE rows ADD COLUMN ts REAL NOT NULL DEFAULT 0"
-            )
-        self._db.commit()
-
-    def load(self, key: str) -> dict | None:
-        cur = self._db.execute(
-            "SELECT row FROM rows WHERE key = ? AND version = ?",
-            (key, CACHE_VERSION),
-        )
-        hit = cur.fetchone()
-        if hit is None:
-            return None
-        try:
-            row = json.loads(hit[0])
-        except ValueError:
-            return None  # corrupt record degrades to a miss
-        return row if isinstance(row, dict) else None
-
-    def store(self, key: str, row: dict) -> None:
-        self._db.execute(
-            "INSERT OR REPLACE INTO rows (key, version, row, ts) "
-            "VALUES (?, ?, ?, ?)",
-            (key, CACHE_VERSION, json.dumps(row, separators=(",", ":")),
-             _now()),
-        )
-        # commit per put: an interrupted campaign keeps every completed
-        # solve, mirroring the JSONL backend's append-per-put durability
-        self._db.commit()
-
-    def keys(self) -> list[str]:
-        cur = self._db.execute(
-            "SELECT key FROM rows WHERE version = ? ORDER BY key",
-            (CACHE_VERSION,),
-        )
-        return [key for (key,) in cur.fetchall()]
-
-    def storage_stats(self) -> dict:
-        live = self._db.execute(
-            "SELECT COUNT(*) FROM rows WHERE version = ?", (CACHE_VERSION,)
-        ).fetchone()[0]
-        total = self._db.execute("SELECT COUNT(*) FROM rows").fetchone()[0]
-        return {
-            "backend": self.name,
-            "keys": live,
-            "files": 1,
-            "bytes": self.path.stat().st_size,
-            "stale_records": total - live,
-            # sqlite writes are transactional — a torn record cannot
-            # exist structurally, so this is always 0 (shape parity)
-            "corrupt_lines": 0,
-        }
-
-    def compact(self, max_age_days: float | None = None,
-                max_bytes: int | None = None) -> dict:
-        """Drop stale-version rows, apply eviction policies, VACUUM.
-
-        The ``max_bytes`` budget is estimated as stored-text length plus
-        :data:`_SQLITE_RECORD_OVERHEAD` per record (sqlite page layout is
-        not byte-exact the way JSONL lines are); eviction is oldest-first,
-        keeping the newest records that fit, mirroring the JSONL backend.
-        """
-        before = self.path.stat().st_size
-        cur = self._db.execute(
-            "DELETE FROM rows WHERE version != ?", (CACHE_VERSION,)
-        )
-        dropped = cur.rowcount
-        evicted = 0
-        if max_age_days is not None:
-            cutoff = _now() - max_age_days * 86400.0
-            cur = self._db.execute(
-                "DELETE FROM rows WHERE ts < ?", (cutoff,)
-            )
-            evicted += cur.rowcount
-        if max_bytes is not None:
-            newest_first = self._db.execute(
-                "SELECT key, LENGTH(row) FROM rows ORDER BY ts DESC, key DESC"
-            ).fetchall()
-            total, cut = 0, None
-            for i, (_, size) in enumerate(newest_first):
-                total += size + _SQLITE_RECORD_OVERHEAD
-                if total > max_bytes:
-                    cut = i
-                    break
-            if cut is not None:
-                for key, _ in newest_first[cut:]:
-                    self._db.execute("DELETE FROM rows WHERE key = ?", (key,))
-                    evicted += 1
-        self._db.commit()
-        self._db.execute("VACUUM")
-        after = self.path.stat().st_size
-        return {
-            "backend": self.name,
-            "bytes_before": before,
-            "bytes_after": after,
-            "bytes_reclaimed": before - after,
-            "records_dropped": dropped,
-            "records_evicted": evicted,
-        }
-
-    def close(self) -> None:
-        self._db.close()
 
 
 class HttpCacheBackend(CacheBackend):
@@ -785,25 +712,15 @@ class CircuitBreakerBackend(CacheBackend):
         self.inner.close()
 
 
-#: Registered backend names -> constructors.  Local backends take the
-#: cache directory (``root: Path``); the ``"http"`` backend takes the
-#: solver-service URL instead (``ResultCache(url=..., backend="http")``).
-CACHE_BACKENDS = {
-    JsonlBackend.name: JsonlBackend,
-    SqliteBackend.name: SqliteBackend,
-    HttpCacheBackend.name: HttpCacheBackend,
-}
-
-
 class ResultCache:
     """Content-addressed store mapping content hashes to result rows.
 
-    ``backend`` selects the storage format (see :data:`CACHE_BACKENDS`);
-    an already-constructed :class:`CacheBackend` is also accepted.  The
-    local backends need ``root`` (the cache directory); the remote
-    ``"http"`` backend needs ``url`` instead (the solver-service
-    address — ``ResultCache(url="http://host:8300", backend="http")``).
-    The cache counts hits/misses/puts and guarantees that returned rows
+    ``root`` (a cache directory) opens the local ``"jsonl"`` store;
+    ``url`` with ``backend="http"`` opens the remote one (a solver
+    service — ``ResultCache(url="http://host:8300", backend="http")``).
+    An already-constructed :class:`CacheBackend` is also accepted as
+    ``backend``.  The cache counts hits/misses/puts, rejects malformed
+    keys before any backend sees them, and guarantees that returned rows
     never alias internal state.
 
     ``fallback_dir`` arms a :class:`CircuitBreakerBackend` around a
@@ -811,7 +728,7 @@ class ResultCache:
     degrades (gets miss, puts journal to ``fallback_dir``) instead of
     failing, and the journal is replayed on recovery.  It applies to the
     ``"http"`` backend and to caller-constructed backend instances; the
-    local backends cannot lose transport, so pairing them with
+    local backend cannot lose transport, so pairing it with
     ``fallback_dir`` is an error.
 
     >>> import tempfile
@@ -844,37 +761,27 @@ class ResultCache:
             self._backend = backend
         elif backend == HttpCacheBackend.name:
             if url is None:
-                raise ReproError(
-                    "the 'http' cache backend needs the solver-service "
-                    "url: ResultCache(url='http://host:port', "
-                    "backend='http')"
-                )
+                raise ReproError("the 'http' cache backend needs the "
+                                 "solver-service url: ResultCache(url="
+                                 "'http://host:port', backend='http')")
             self._backend = HttpCacheBackend(url)
+        elif url is not None:
+            raise ReproError(
+                f"'url' only applies to the 'http' cache backend, "
+                f"not {backend!r}"
+            )
+        elif backend != JsonlBackend.name:
+            raise ReproError(f"unknown cache backend {backend!r}; "
+                             "choose from ['http', 'jsonl']")
+        elif self.root is None:
+            raise ReproError("the 'jsonl' cache backend needs a root "
+                             "directory")
         else:
-            if url is not None:
-                raise ReproError(
-                    f"'url' only applies to the 'http' cache backend, "
-                    f"not {backend!r}"
-                )
-            try:
-                factory = CACHE_BACKENDS[backend]
-            except KeyError:
-                raise ReproError(
-                    f"unknown cache backend {backend!r}; "
-                    f"choose from {sorted(CACHE_BACKENDS)}"
-                ) from None
-            if self.root is None:
-                raise ReproError(
-                    f"the {backend!r} cache backend needs a root directory"
-                )
-            self._backend = factory(self.root)
+            self._backend = JsonlBackend(self.root)
         if fallback_dir is not None \
                 and not isinstance(self._backend, CircuitBreakerBackend):
-            journal_dir = Path(fallback_dir)
-            journal_dir.mkdir(parents=True, exist_ok=True)
-            self._backend = CircuitBreakerBackend(
-                self._backend, journal_dir=journal_dir
-            )
+            self._backend = CircuitBreakerBackend(self._backend,
+                                                  journal_dir=fallback_dir)
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -903,6 +810,7 @@ class ResultCache:
         The returned dict (including any nested containers) is owned by
         the caller — mutating it cannot affect later hits.
         """
+        _check_key(key)
         row = self._backend.load(key)
         if row is None:
             self.misses += 1
@@ -912,10 +820,12 @@ class ResultCache:
 
     def put(self, key: str, row: dict) -> None:
         """Store ``row`` under ``key`` (written to disk immediately)."""
+        _check_key(key)
         self._backend.store(key, row)
         self.puts += 1
 
     def __contains__(self, key: str) -> bool:
+        _check_key(key)
         return self._backend.load(key) is not None
 
     def __len__(self) -> int:
@@ -936,7 +846,7 @@ class ResultCache:
         Every backend reports the same shape: ``backend`` / ``keys`` /
         ``files`` / ``bytes`` / ``stale_records`` storage fields, and a
         ``counters`` dict mirroring :attr:`stats` — the counters are
-        *this instance's* (in-process) counts, for all three backends
+        *this instance's* (in-process) counts, for both backends
         alike; a solver service reports its own cache's counters in
         ``/v1/stats``.
         """

@@ -19,10 +19,9 @@ Commands
 
     * ``campaign run`` — execute a declarative campaign through the
       multiprocessing runner and result cache; ``--retry-errors``
-      resumes a partially-failed campaign re-solving only error rows,
-      ``--cache-backend {jsonl,sqlite,http}`` selects the cache storage
-      (``http`` shares a remote solver-service cache via
-      ``--cache-url``);
+      resumes a partially-failed campaign re-solving only error rows;
+      ``--cache-dir`` names a local cache directory, ``--cache-url``
+      shares a remote solver-service cache instead;
     * ``campaign report`` — aggregate a saved result file (summary,
       per-engine timing breakdown, optional heuristic-gap table);
     * ``campaign profile`` — aggregate the per-solve ``timing`` blocks
@@ -79,7 +78,7 @@ Examples
     python -m repro campaign run --spec campaign.json --workers 4 \\
         --cache-dir .repro-cache --out results.jsonl
     python -m repro campaign run --spec campaign.json --cache-dir .repro-cache \\
-        --cache-backend sqlite --retry-errors
+        --retry-errors
     python -m repro campaign report --results results.jsonl --baseline exact
     python -m repro campaign pareto --scenario image-pipeline --points 16
     python -m repro campaign pareto --file instance.json --exact --workers 4 \\
@@ -89,11 +88,11 @@ Examples
     python -m repro campaign cache compact --cache-dir .repro-cache \\
         --max-age-days 30 --max-bytes 10000000
     python -m repro serve --port 8300 --cache-dir .repro-cache \\
-        --cache-backend sqlite --solve-workers 4 --trace-log spans.jsonl
+        --solve-workers 4 --trace-log spans.jsonl
     python -m repro submit --url http://127.0.0.1:8300 --graph pipeline \\
         --works 14,4,2,4 --speeds 1,1,1 --objective period
     python -m repro campaign run --spec campaign.json \\
-        --cache-backend http --cache-url http://127.0.0.1:8300
+        --cache-url http://127.0.0.1:8300
 """
 
 from __future__ import annotations
@@ -317,34 +316,27 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _open_cache(args):
+    """The cache the flags name: ``--cache-url`` a remote (http) cache,
+    ``--cache-dir`` a local directory, neither no cache at all."""
     from .campaign import ResultCache
 
-    backend = getattr(args, "cache_backend", "jsonl")
     url = getattr(args, "cache_url", None)
     cache_dir = getattr(args, "cache_dir", None)
     fallback_dir = getattr(args, "cache_fallback_dir", None)
-    if backend == "http" or url is not None:
-        if url is None:
-            raise ReproError("--cache-backend http needs --cache-url "
-                             "(the solver-service address)")
-        if backend != "http":
-            raise ReproError("--cache-url only applies to "
-                             "--cache-backend http")
+    if url is not None:
         if cache_dir is not None:
             raise ReproError(
-                "--cache-dir does not apply to --cache-backend http "
-                "(the cache lives server-side); drop it or use a "
-                "local backend"
+                "--cache-dir does not apply with --cache-url (the cache "
+                "lives server-side); drop one of them"
             )
         return ResultCache(url=url, backend="http",
                            fallback_dir=fallback_dir)
     if fallback_dir is not None:
-        raise ReproError("--cache-fallback-dir only applies to "
-                         "--cache-backend http (local backends have no "
-                         "transport to lose)")
+        raise ReproError("--cache-fallback-dir only applies to --cache-url "
+                         "(a local cache has no transport to lose)")
     if cache_dir is None:
         return None
-    return ResultCache(cache_dir, backend=backend)
+    return ResultCache(cache_dir)
 
 
 def _cmd_campaign_run(args, out) -> int:
@@ -481,8 +473,7 @@ def _cmd_campaign_pareto(args, out) -> int:
 def _cmd_campaign_cache(args, out) -> int:
     cache = _open_cache(args)
     if cache is None:
-        raise ReproError("campaign cache needs --cache-dir (or "
-                         "--cache-backend http --cache-url URL)")
+        raise ReproError("campaign cache needs --cache-dir or --cache-url")
     where = args.cache_dir if args.cache_dir is not None else args.cache_url
     if args.cache_command == "stats":
         info = cache.storage_stats()
@@ -520,8 +511,8 @@ def _cmd_campaign_profile(args, out) -> int:
     cache = _open_cache(args)
     if cache is None and rows is None:
         raise ReproError(
-            "campaign profile needs --cache-dir (or --cache-backend http "
-            "--cache-url URL) and/or --results"
+            "campaign profile needs --cache-dir or --cache-url, "
+            "and/or --results"
         )
     timings = collect_timings(cache=cache, rows=rows)
     if not timings:
@@ -555,7 +546,6 @@ def _cmd_serve(args, out) -> int:
         host=args.host,
         port=args.port,
         cache_dir=args.cache_dir,
-        cache_backend=args.cache_backend,
         solve_workers=args.solve_workers,
         verbose=args.verbose,
         out=out,
@@ -679,17 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_cache_flags(p) -> None:
         p.add_argument("--cache-dir", default=None,
                        help="content-addressed result cache directory "
-                            "(jsonl/sqlite backends)")
-        p.add_argument("--cache-backend",
-                       choices=("jsonl", "sqlite", "http"),
-                       default="jsonl",
-                       help="cache storage: 256 append-only JSONL shards "
-                            "(default), a single sqlite database, or a "
-                            "remote solver service (--cache-url)")
+                            "(256 append-only JSONL shards)")
         p.add_argument("--cache-url", default=None,
-                       help="solver-service address for "
-                            "--cache-backend http, e.g. "
-                            "http://127.0.0.1:8300")
+                       help="share a remote solver-service cache instead, "
+                            "e.g. http://127.0.0.1:8300")
         p.add_argument("--cache-fallback-dir", default=None,
                        help="arm a circuit breaker around the http cache: "
                             "while the service is unreachable, gets degrade "
@@ -795,19 +778,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="listen port (0 = ephemeral)")
     p_serve.add_argument("--cache-dir", default=None,
                          help="server-side result cache directory "
-                              "(jsonl/sqlite backends)")
-    p_serve.add_argument("--cache-backend",
-                         choices=("jsonl", "sqlite", "http"),
-                         default="jsonl",
-                         help="server-side cache storage format; 'http' "
-                              "makes this server a solving tier in front "
-                              "of an upstream cache service (--cache-url)")
+                              "(256 append-only JSONL shards)")
     p_serve.add_argument("--cache-url", default=None,
-                         help="upstream cache-service address for "
-                              "--cache-backend http")
+                         help="upstream cache-service address: this "
+                              "server becomes a solving tier in front of "
+                              "that service's cache")
     p_serve.add_argument("--cache-fallback-dir", default=None,
                          help="circuit-breaker spill journal directory "
-                              "for --cache-backend http: while the "
+                              "for --cache-url: while the "
                               "upstream is unreachable, gets degrade to "
                               "misses and puts spill here, replayed on "
                               "recovery (breaker state in /v1/stats)")

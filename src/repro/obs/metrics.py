@@ -159,11 +159,10 @@ class _CounterChild:
         self.value += amount
 
     def set_to(self, value: float) -> None:
-        """Mirror an external authoritative count (scrape-time sync).
+        """Mirror a count kept elsewhere (scrape-time sync).
 
-        The solver service keeps its counters under its own lock and
-        copies them into the registry per scrape, so ``/metrics`` and
-        ``/v1/stats`` report one mutually-consistent snapshot.
+        The solver service mirrors its result cache's own hit/miss/put
+        counters this way.
         """
         self.value = float(value)
 
@@ -188,6 +187,11 @@ class Counter(_Family):
         child = self.labels(**labelvalues) if labelvalues \
             else self._children[()]
         return child.value
+
+    def total(self) -> float:
+        """Sum over every child (every labeled series) of the family."""
+        with self._lock:
+            return sum(child.value for child in self._children.values())
 
     def _samples(self):
         return [

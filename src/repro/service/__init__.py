@@ -4,14 +4,14 @@
   ``POST /v1/solve`` (content-addressed, single-flight deduplicated
   solves), ``GET/PUT /v1/cache/<key>``, ``GET /v1/keys``,
   ``GET /v1/stats``, ``GET /v1/healthz`` and ``POST /v1/compact`` over
-  any local :class:`~repro.campaign.cache.CacheBackend`;
+  any :class:`~repro.campaign.cache.ResultCache`;
 * :mod:`repro.service.client` — retrying, timeout-bounded
   :class:`ServiceClient` speaking that API.
 
 Run a server with ``python -m repro serve --cache-dir DIR``; point a
-whole campaign fleet at it with ``--cache-backend http --cache-url
-http://host:port`` (the :class:`~repro.campaign.cache.HttpCacheBackend`
-seam), or POST one-off solves with ``python -m repro submit``.
+whole campaign fleet at it with ``--cache-url http://host:port`` (the
+:class:`~repro.campaign.cache.HttpCacheBackend` seam), or POST one-off
+solves with ``python -m repro submit``.
 
 Quick start::
 

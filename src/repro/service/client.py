@@ -66,7 +66,7 @@ class ServiceClient:
     Against a live ``python -m repro serve``: ``client.solve(request)``
     posts a content-addressed solve, ``client.cache_get(key)`` /
     ``client.cache_put(key, row)`` speak the cache wire protocol behind
-    ``--cache-backend http``, and ``client.stats()`` / ``client.healthz()``
+    ``--cache-url``, and ``client.stats()`` / ``client.healthz()``
     report service state.
     """
 

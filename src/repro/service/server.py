@@ -2,7 +2,7 @@
 
 The solver service turns the in-process library into a shared network
 resource: many clients (or a whole fleet of campaign runners pointed at
-it through ``--cache-backend http``) see one warm, content-addressed
+it through ``--cache-url``) see one warm, content-addressed
 cache and one solver pool.  Stdlib only — ``http.server`` threads for
 transport, a ``ThreadPoolExecutor`` for the solves.
 
@@ -42,17 +42,16 @@ thread-safe); solves run outside the lock.
 Observability
 -------------
 ``GET /metrics`` serves the Prometheus text exposition of the service's
-:class:`~repro.obs.metrics.MetricsRegistry`.  The service keeps its
-authoritative request/solve/coalesce/error counts as plain ints under
-its one lock (they are what ``/v1/stats`` reports); a scrape copies them
-into the registry from a single-lock snapshot, so ``/metrics`` and
-``/v1/stats`` can never disagree about the same instant.  Latency
-histograms (``repro_solve_seconds``, ``repro_request_seconds``) and the
-per-endpoint HTTP counter are observed live at event time — histograms
-cannot be reconstructed at scrape time.  With ``trace_log`` set, every
-``/v1/solve`` request emits request / cache-get / coalesce-wait / solve
-/ cache-put spans stamped with the client's ``X-Repro-Trace`` id (or a
-fresh one).
+:class:`~repro.obs.metrics.MetricsRegistry`.  The registry is the one
+store of the request/solve/coalesce/error counts: they are incremented
+at event time under the service lock, and ``/v1/stats`` reads them back,
+while ``/metrics`` renders under the same lock, so the two endpoints can
+never disagree about the same instant.  Latency histograms
+(``repro_solve_seconds``, ``repro_request_seconds``) and the
+per-endpoint HTTP counter are observed live at event time too.  With
+``trace_log`` set, every ``/v1/solve`` request emits request / cache-get
+/ coalesce-wait / solve / cache-put spans stamped with the client's
+``X-Repro-Trace`` id (or a fresh one).
 """
 
 from __future__ import annotations
@@ -149,15 +148,6 @@ class SolveService:
         )
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
-        self._counters = {
-            "requests": 0,
-            "solves": 0,
-            "coalesced": 0,
-            "served_from_cache": 0,
-            "errors": 0,
-        }
-        #: labeled solve counts by ``(engine, status)``, under ``_lock``
-        self._solve_counts: dict[tuple[str, str], int] = {}
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         reg = self.registry
@@ -206,20 +196,20 @@ class SolveService:
         key = task.key
         tracer = self.tracer
         with self._lock:
-            self._counters["requests"] += 1
+            self._m_requests.inc()
             t0 = time.perf_counter() if tracer.active else 0.0
             row = self.cache.get(key)
             if tracer.active:
                 tracer.emit("cache-get", time.perf_counter() - t0,
                             trace=trace, key=key, hit=row is not None)
             if row is not None:
-                self._counters["served_from_cache"] += 1
+                self._m_cache_served.inc()
                 return {"key": key, "row": row,
                         "cached": True, "coalesced": False}
             future = self._inflight.get(key)
             coalesced = future is not None
             if coalesced:
-                self._counters["coalesced"] += 1
+                self._m_coalesced.inc()
             else:
                 future = self._pool.submit(
                     self._solve_and_store, key, task, trace
@@ -243,19 +233,17 @@ class SolveService:
             timing = payload.get("timing") or {}
             engine = timing.get("engine") or "unknown"
             status = timing.get("status") or "completed"
-            # histograms are observed live (outside the service lock —
-            # the family has its own); counters sync at scrape time
+            # histograms are observed outside the service lock (the
+            # family has its own); counters move under it, see stats()
             self._h_solve.labels(engine=engine, status=status) \
                 .observe(seconds)
             if tracer.active:
                 tracer.emit("solve", seconds, trace=trace, key=key,
                             engine=engine, status=status)
             with self._lock:
-                self._counters["solves"] += 1
-                pair = (engine, status)
-                self._solve_counts[pair] = self._solve_counts.get(pair, 0) + 1
+                self._m_solves.labels(engine=engine, status=status).inc()
                 if payload.get("status") == "error":
-                    self._counters["errors"] += 1
+                    self._m_errors.inc()
                 if cacheable:
                     t0 = time.perf_counter() if tracer.active else 0.0
                     self.cache.put(key, payload)
@@ -291,56 +279,43 @@ class SolveService:
                                       max_bytes=max_bytes)
 
     # ------------------------------------------------------ observability
-    def _snapshot_locked(self) -> dict:
-        """One consistent snapshot of every counter (caller holds ``_lock``).
-
-        Both ``/v1/stats`` and ``/metrics`` are rendered from this, so
-        the two endpoints can never disagree about the same instant.
-        """
-        return {
-            "service": {**self._counters, "inflight": len(self._inflight)},
-            "cache_counters": dict(self.cache.stats),
-            "solve_counts": dict(self._solve_counts),
-            "breaker": self.cache.breaker_state,
-        }
-
     def stats(self) -> dict:
+        """The ``/v1/stats`` document, read from the registry counters."""
         with self._lock:
-            snap = self._snapshot_locked()
+            service = {
+                "requests": int(self._m_requests.value()),
+                "solves": int(self._m_solves.total()),
+                "coalesced": int(self._m_coalesced.value()),
+                "served_from_cache": int(self._m_cache_served.value()),
+                "errors": int(self._m_errors.value()),
+                "inflight": len(self._inflight),
+            }
+            counters = dict(self.cache.stats)
             storage = self.cache.storage_stats()
-        return {
-            "service": snap["service"],
-            "cache": {"counters": snap["cache_counters"],
-                      "storage": storage},
-        }
+        return {"service": service,
+                "cache": {"counters": counters, "storage": storage}}
 
     def metrics_text(self) -> str:
-        """The ``/metrics`` body: sync counters from a snapshot, render.
+        """The ``/metrics`` body, rendered under the service lock.
 
         Unlike :meth:`stats` this never calls ``storage_stats`` — a
         scrape must not hit the network when the cache backend is remote.
+        The cache-op family mirrors :attr:`ResultCache.stats`, which the
+        cache itself counts.
         """
         with self._lock:
-            snap = self._snapshot_locked()
-        svc = snap["service"]
-        self._m_requests.set_to(svc["requests"])
-        self._m_coalesced.set_to(svc["coalesced"])
-        self._m_cache_served.set_to(svc["served_from_cache"])
-        self._m_errors.set_to(svc["errors"])
-        self._m_inflight.set(svc["inflight"])
-        for (engine, status), count in snap["solve_counts"].items():
-            self._m_solves.labels(engine=engine, status=status) \
-                .set_to(count)
-        cache_counts = snap["cache_counters"]
-        ops = self._m_cache_ops
-        ops.labels(op="get", result="hit").set_to(cache_counts["hits"])
-        ops.labels(op="get", result="miss").set_to(cache_counts["misses"])
-        ops.labels(op="put", result="ok").set_to(cache_counts["puts"])
-        if self._m_breaker is not None and snap["breaker"] is not None:
-            self._m_breaker.set(
-                {"closed": 0, "half-open": 1, "open": 2}[snap["breaker"]]
-            )
-        return self.registry.render()
+            self._m_inflight.set(len(self._inflight))
+            cache_counts = self.cache.stats
+            ops = self._m_cache_ops
+            ops.labels(op="get", result="hit").set_to(cache_counts["hits"])
+            ops.labels(op="get", result="miss").set_to(cache_counts["misses"])
+            ops.labels(op="put", result="ok").set_to(cache_counts["puts"])
+            breaker = self.cache.breaker_state
+            if self._m_breaker is not None and breaker is not None:
+                self._m_breaker.set(
+                    {"closed": 0, "half-open": 1, "open": 2}[breaker]
+                )
+            return self.registry.render()
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -527,6 +502,9 @@ class SolverHTTPServer(ThreadingHTTPServer):
     """Threading HTTP server bound to one :class:`SolveService`."""
 
     daemon_threads = True
+    # listen backlog: the stdlib default of 5 drops the connects of a
+    # burst of clients, which then wait a full SYN retransmit (~1 s)
+    request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], service: SolveService,
                  verbose: bool = False) -> None:
@@ -545,7 +523,6 @@ def make_server(
     port: int = 0,
     cache: ResultCache | None = None,
     cache_dir: str | None = None,
-    cache_backend: str = "jsonl",
     solve_workers: int = 4,
     verbose: bool = False,
     cache_url: str | None = None,
@@ -555,9 +532,9 @@ def make_server(
 ) -> SolverHTTPServer:
     """Build a ready-to-run server (``port=0`` picks an ephemeral port).
 
-    Pass an open ``cache``, or ``cache_dir``/``cache_backend`` to have
-    one opened.  ``cache_backend="http"`` with ``cache_url`` makes this
-    server a solving tier in front of an upstream cache service;
+    Pass an open ``cache``, or a ``cache_dir`` to have one opened.
+    ``cache_url`` instead makes this server a solving tier in front of
+    an upstream cache service;
     ``cache_fallback_dir`` then wraps the upstream in a
     :class:`~repro.campaign.cache.CircuitBreakerBackend` whose spill
     journal lives there — breaker state shows up under ``/v1/stats``
@@ -570,19 +547,17 @@ def make_server(
     to a JSON-lines file (closed with the service).
     """
     if cache is None:
-        if cache_backend == "http":
-            if cache_url is None:
-                raise ReproError(
-                    "cache_backend='http' needs cache_url "
-                    "(the upstream cache-service address)"
-                )
+        if cache_url is not None:
+            if cache_dir is not None:
+                raise ReproError("make_server takes a cache_dir or a "
+                                 "cache_url, not both")
             cache = ResultCache(url=cache_url, backend="http",
                                 fallback_dir=cache_fallback_dir)
+        elif cache_dir is None:
+            raise ReproError("make_server needs a cache, a cache_dir or "
+                             "a cache_url")
         else:
-            if cache_dir is None:
-                raise ReproError("make_server needs a cache or a cache_dir")
-            cache = ResultCache(cache_dir, backend=cache_backend,
-                                fallback_dir=cache_fallback_dir)
+            cache = ResultCache(cache_dir, fallback_dir=cache_fallback_dir)
     tracer = Tracer(trace_log) if trace_log else None
     service = SolveService(cache, solve_workers=solve_workers,
                            registry=registry, tracer=tracer)
@@ -590,22 +565,20 @@ def make_server(
 
 
 def serve(host: str, port: int, cache_dir: str | None = None,
-          cache_backend: str = "jsonl",
           solve_workers: int = 4, verbose: bool = False, out=None,
           cache_url: str | None = None,
           cache_fallback_dir: str | None = None,
           trace_log: str | None = None) -> int:
     """Blocking CLI entry point: announce the URL, serve until SIGINT."""
     server = make_server(host=host, port=port, cache_dir=cache_dir,
-                         cache_backend=cache_backend,
                          solve_workers=solve_workers, verbose=verbose,
                          cache_url=cache_url,
                          cache_fallback_dir=cache_fallback_dir,
                          trace_log=trace_log)
-    where = cache_url if cache_backend == "http" else cache_dir
     # flush=True: launcher scripts block on this line to learn the URL
     print(f"solver service listening on {server.url} "
-          f"[{cache_backend} cache at {where}, "
+          f"[{server.service.cache.backend} cache at "
+          f"{cache_url or cache_dir}, "
           f"{solve_workers} solve workers]", file=out, flush=True)
     try:
         server.serve_forever()

@@ -1,72 +1,55 @@
-"""Contract tests for the result cache, run against every backend.
+"""Contract tests for the result cache, run against both backends.
 
 The parametrized ``cache`` fixture makes each contract test execute once
-per registered backend (jsonl, sqlite, http) — the storage formats must
-be behaviourally interchangeable.  The http backend runs against a live
-in-process solver service (jsonl-backed), so "persists across
-instances" means "persists server-side".  Backend-specific on-disk
-details (shard files, append-only duplicates, sqlite version rows,
-eviction clocks) get their own classes below.
+per backend (jsonl, http) — a local directory and a remote service must
+behave the same.  The http backend runs against a live in-process solver
+service (jsonl-backed), so "persists across instances" means "persists
+server-side".  On-disk details (shard files, append-only duplicates,
+the one-shot import of a retired sqlite cache, key validation) get their
+own classes below.
 """
 
 import json
 import shutil
 import sqlite3
-import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import repro.campaign.cache as cache_mod
-from repro.campaign import CACHE_BACKENDS, CACHE_VERSION, ResultCache
+from repro.campaign import CACHE_VERSION, CacheBackend, ResultCache
 from repro.core import ReproError
 
 
 KEY_A = "aa" + "0" * 62
 KEY_B = "ab" + "0" * 62
-LOCAL_BACKENDS = ("jsonl", "sqlite")
 #: Shards written by the previous JSONL writer (rows decoded in memory,
 #: deep-copied per hit) plus the rows it served, in ``expected.json``.
 LEGACY_SHARDS = Path(__file__).parent / "data" / "jsonl_v1"
 
 
-@pytest.fixture(params=sorted(CACHE_BACKENDS))
+@pytest.fixture(params=("http", "jsonl"))
 def backend(request):
     return request.param
 
 
 @pytest.fixture
-def make_cache(tmp_path, backend):
+def make_cache(request, tmp_path, backend):
     """Factory for :class:`ResultCache` instances over one shared store.
 
-    Local backends re-open the same ``tmp_path`` directory; the http
-    backend lazily starts one solver service per test and every instance
-    becomes a remote client of it.
+    The jsonl backend re-opens the same ``tmp_path`` directory; for the
+    http backend every instance is a remote client of the test's one
+    solver service (the ``server`` fixture).
     """
-    state = {}
 
     def factory():
         if backend == "http":
-            if "server" not in state:
-                from repro.service.server import make_server
+            url = request.getfixturevalue("server").url
+            return ResultCache(url=url, backend="http")
+        return ResultCache(tmp_path)
 
-                server = make_server(
-                    port=0, cache=ResultCache(tmp_path / "server")
-                )
-                threading.Thread(
-                    target=server.serve_forever, daemon=True
-                ).start()
-                state["server"] = server
-            return ResultCache(url=state["server"].url, backend="http")
-        return ResultCache(tmp_path, backend=backend)
-
-    yield factory
-    server = state.get("server")
-    if server is not None:
-        server.shutdown()
-        server.server_close()
-        server.service.close()
+    return factory
 
 
 @pytest.fixture
@@ -187,6 +170,8 @@ class TestResultCacheContract:
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ReproError):
             ResultCache(tmp_path, backend="cloud")
+        with pytest.raises(ReproError, match="unknown cache backend"):
+            ResultCache(tmp_path, backend="sqlite")  # retired
 
     def test_http_backend_needs_url(self, tmp_path):
         with pytest.raises(ReproError):
@@ -197,8 +182,8 @@ class TestResultCacheContract:
             ResultCache(tmp_path, backend="jsonl", url="http://x")
 
     def test_local_backend_needs_root(self):
-        with pytest.raises(ReproError):
-            ResultCache(backend="sqlite")
+        with pytest.raises(ReproError, match="root directory"):
+            ResultCache()
 
 
 class TestJsonlBackend:
@@ -429,66 +414,15 @@ class TestJsonlShardIndex:
         assert again["mapping"] is not hit["mapping"]
 
 
-class TestSqliteBackend:
-    def test_single_database_file(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sqlite")
-        cache.put(KEY_A, {"value": 1})
-        cache.put(KEY_B, {"value": 2})
-        assert (tmp_path / "cache.sqlite").exists()
-        assert not list(tmp_path.glob("*.jsonl"))
-        assert cache.storage_stats()["files"] == 1
-
-    def test_durable_without_close(self, tmp_path):
-        # every put commits: a killed campaign loses nothing
-        ResultCache(tmp_path, backend="sqlite").put(KEY_A, {"value": 7})
-        db = sqlite3.connect(tmp_path / "cache.sqlite")
-        rows = db.execute("SELECT key, row FROM rows").fetchall()
-        db.close()
-        assert rows == [(KEY_A, '{"value":7}')]
-
-    def test_stale_version_rows_skipped_and_compacted(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sqlite")
-        cache.put(KEY_A, {"value": 1})
-        db = sqlite3.connect(tmp_path / "cache.sqlite")
-        db.execute(
-            "INSERT OR REPLACE INTO rows (key, version, row) "
-            "VALUES (?, ?, ?)",
-            (KEY_B, CACHE_VERSION + 1, '{"value": "future"}'),
-        )
-        db.commit()
-        db.close()
-        fresh = ResultCache(tmp_path, backend="sqlite")
-        assert fresh.get(KEY_B) is None
-        assert fresh.storage_stats()["stale_records"] == 1
-        assert fresh.compact()["records_dropped"] == 1
-        assert fresh.storage_stats()["stale_records"] == 0
-        assert fresh.get(KEY_A) == {"value": 1}
-        fresh.close()
-
-    def test_corrupt_row_degrades_to_miss(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sqlite")
-        cache.put(KEY_A, {"value": 1})
-        db = sqlite3.connect(tmp_path / "cache.sqlite")
-        db.execute("UPDATE rows SET row = 'not json' WHERE key = ?",
-                   (KEY_A,))
-        db.commit()
-        db.close()
-        assert ResultCache(tmp_path, backend="sqlite").get(KEY_A) is None
-
-
 class TestEvictionPolicies:
-    """Pinned-clock eviction behaviour of the local backends."""
+    """Pinned-clock eviction behaviour (the http backend's server runs
+    in-process, so the pinned clock stamps its records too)."""
 
-    @pytest.fixture(params=LOCAL_BACKENDS)
-    def local_backend(self, request):
-        return request.param
-
-    def test_age_horizon_is_precise(self, tmp_path, monkeypatch,
-                                    local_backend):
+    def test_age_horizon_is_precise(self, make_cache, monkeypatch):
         day = 86400.0
         t0 = 1_000_000_000.0
         monkeypatch.setattr(cache_mod, "_now", lambda: t0)
-        cache = ResultCache(tmp_path, backend=local_backend)
+        cache = make_cache()
         cache.put(KEY_A, {"value": "old"})
         monkeypatch.setattr(cache_mod, "_now", lambda: t0 + 10 * day)
         cache.put(KEY_B, {"value": "new"})
@@ -499,13 +433,12 @@ class TestEvictionPolicies:
         # stamps survive the rewrite: a reload under a wider horizon
         # keeps the young record
         cache.close()
-        reloaded = ResultCache(tmp_path, backend=local_backend)
+        reloaded = make_cache()
         assert reloaded.compact(max_age_days=20)["records_evicted"] == 0
         assert reloaded.get(KEY_B) == {"value": "new"}
         reloaded.close()
 
-    def test_max_bytes_noop_when_under_budget(self, tmp_path, local_backend):
-        cache = ResultCache(tmp_path, backend=local_backend)
+    def test_max_bytes_noop_when_under_budget(self, cache):
         cache.put(KEY_A, {"value": 1})
         info = cache.compact(max_bytes=10_000_000)
         assert info["records_evicted"] == 0
@@ -529,22 +462,137 @@ class TestEvictionPolicies:
         assert cache.get(KEY_A) is None
         assert cache.get(KEY_B) == {"value": "fresh"}
 
-    def test_sqlite_schema_migration_adds_ts(self, tmp_path):
-        # databases created before the ts column must open cleanly; the
-        # migrated rows read as infinitely old
-        db = sqlite3.connect(tmp_path / "cache.sqlite")
+
+class TestSqliteImport:
+    """A ``cache.sqlite`` of the retired sqlite backend is imported into
+    the jsonl shards once, on first open."""
+
+    KEY_C = "ac" + "0" * 62
+    KEY_D = "ad" + "0" * 62
+
+    def _write_db(self, root, with_ts):
+        db = sqlite3.connect(root / "cache.sqlite")
         db.execute(
             "CREATE TABLE rows (key TEXT PRIMARY KEY,"
-            " version INTEGER NOT NULL, row TEXT NOT NULL)"
+            " version INTEGER NOT NULL, row TEXT NOT NULL"
+            + (", ts REAL NOT NULL DEFAULT 0)" if with_ts else ")")
         )
-        db.execute("INSERT INTO rows VALUES (?, ?, ?)",
-                   (KEY_A, CACHE_VERSION, '{"value":1}'))
+        rows = [
+            (KEY_A, CACHE_VERSION, '{"value":1,"mapping":{"groups":[[0]]}}',
+             1000.0),
+            (KEY_B, CACHE_VERSION, '{"value":2.5}', 2000.0),
+            (self.KEY_C, CACHE_VERSION + 1, '{"value":"future"}', 3000.0),
+            (self.KEY_D, CACHE_VERSION, "not json", 4000.0),
+            ("/tkey", CACHE_VERSION, '{"value":"escape"}', 5000.0),
+        ]
+        if with_ts:
+            db.executemany("INSERT INTO rows VALUES (?, ?, ?, ?)", rows)
+        else:
+            db.executemany("INSERT INTO rows VALUES (?, ?, ?)",
+                           [r[:3] for r in rows])
         db.commit()
         db.close()
-        cache = ResultCache(tmp_path, backend="sqlite")
-        assert cache.get(KEY_A) == {"value": 1}
-        cache.put(KEY_B, {"value": 2})
-        assert cache.compact(max_age_days=365)["records_evicted"] == 1
+
+    def _stamps(self, root):
+        return {record["key"]: record["ts"]
+                for path in root.glob("*.jsonl")
+                for record in map(json.loads, path.read_text().splitlines())}
+
+    @pytest.mark.parametrize("with_ts", [True, False],
+                             ids=["with-ts", "before-ts"])
+    def test_rows_and_stamps_imported_once(self, tmp_path, with_ts):
+        store = tmp_path / "store"
+        store.mkdir()
+        self._write_db(store, with_ts)
+        cache = ResultCache(store)
+        assert cache.get(KEY_A) == {"value": 1,
+                                    "mapping": {"groups": [[0]]}}
+        assert cache.get(KEY_B) == {"value": 2.5}
+        # stale-version, undecodable and malformed-key rows stay behind
+        assert cache.get(self.KEY_C) is None
+        assert cache.get(self.KEY_D) is None
+        assert sorted(cache.keys()) == [KEY_A, KEY_B]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+        assert self._stamps(store) == (
+            {KEY_A: 1000.0, KEY_B: 2000.0} if with_ts
+            else {KEY_A: 0.0, KEY_B: 0.0}
+        )
+        assert not (store / "cache.sqlite").exists()
+        assert (store / "cache.sqlite.migrated").exists()
+        shards = {p.name: p.read_bytes() for p in store.glob("*.jsonl")}
+        again = ResultCache(store)
+        assert {p.name: p.read_bytes()
+                for p in store.glob("*.jsonl")} == shards
+        assert again.get(KEY_B) == {"value": 2.5}
+        assert again.storage_stats()["stale_records"] == 0
+
+    def test_imported_stamps_drive_age_eviction(self, tmp_path,
+                                                monkeypatch):
+        self._write_db(tmp_path, with_ts=True)
+        monkeypatch.setattr(cache_mod, "_now", lambda: 1500.0)
+        cache = ResultCache(tmp_path)
+        # the horizon (1500 s - 0.001 day = 1413.6 s) falls between the
+        # two imported stamps
+        assert cache.compact(max_age_days=0.001)["records_evicted"] == 1
         assert cache.get(KEY_A) is None
-        assert cache.get(KEY_B) == {"value": 2}
-        cache.close()
+        assert cache.get(KEY_B) == {"value": 2.5}
+
+    def test_newer_shard_records_win(self, tmp_path, monkeypatch):
+        # a directory used with both backends: per key, the record with
+        # the later stamp survives the import
+        monkeypatch.setattr(cache_mod, "_now", lambda: 1500.0)
+        shards = ResultCache(tmp_path)
+        shards.put(KEY_A, {"value": "jsonl, newer"})   # sqlite: 1000.0
+        shards.put(KEY_B, {"value": "jsonl, older"})   # sqlite: 2000.0
+        self._write_db(tmp_path, with_ts=True)
+        cache = ResultCache(tmp_path)
+        assert cache.get(KEY_A) == {"value": "jsonl, newer"}
+        assert cache.get(KEY_B) == {"value": 2.5}
+        assert self._stamps(tmp_path) == {KEY_A: 1500.0, KEY_B: 2000.0}
+
+    def test_unreadable_database_is_a_repro_error(self, tmp_path):
+        (tmp_path / "cache.sqlite").write_text("not a database")
+        with pytest.raises(ReproError, match="cannot import"):
+            ResultCache(tmp_path)
+
+
+class TestKeyValidation:
+    BAD_KEYS = ("/tkey", "a", "AB" * 32, "ab" * 32 + "\n", "ab" * 33,
+                "../" + "a" * 61, None)
+
+    class Recording(CacheBackend):
+        name = "recording"
+
+        def __init__(self):
+            self.calls = []
+
+        def load(self, key):
+            self.calls.append(("load", key))
+
+        def store(self, key, row):
+            self.calls.append(("store", key))
+
+    @pytest.mark.parametrize("key", BAD_KEYS)
+    def test_rejected_before_any_backend_call(self, key):
+        backend = self.Recording()
+        cache = ResultCache(backend=backend)
+        with pytest.raises(ReproError, match="malformed cache key"):
+            cache.put(key, {"value": 1})
+        with pytest.raises(ReproError, match="malformed cache key"):
+            cache.get(key)
+        with pytest.raises(ReproError, match="malformed cache key"):
+            key in cache
+        assert backend.calls == []
+        assert cache.stats == {"hits": 0, "misses": 0, "puts": 0}
+        cache.put(KEY_A, {"value": 1})  # a content hash goes through
+        assert backend.calls == [("store", KEY_A)]
+
+    def test_malformed_keys_on_disk_are_skipped(self, tmp_path):
+        # a hand-written record whose key is not a content hash is never
+        # listed, so keys() cannot hand get() a key it would reject
+        (tmp_path / "aa.jsonl").write_text(json.dumps(
+            {"version": CACHE_VERSION, "key": "aa/../x", "row": {}}
+        ) + "\n")
+        cache = ResultCache(tmp_path)
+        assert cache.keys() == []
+        assert cache.storage_stats()["stale_records"] == 1

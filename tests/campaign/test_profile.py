@@ -17,6 +17,10 @@ from repro.campaign import (
 from repro.campaign.profile import PROFILE_DOC_KIND, PROFILE_DOC_VERSION
 from repro.core import ReproError
 
+#: Cache keys are task content hashes: 64 lowercase hex digits.
+KEY_A = "a" * 64
+KEY_B = "b" * 64
+
 
 def _timing(engine="bnb", seconds=0.1, n=4, p=2, **extra):
     doc = {
@@ -59,15 +63,15 @@ class TestCollectTimings:
 
     def test_from_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("a", {"status": "ok", "timing": _timing(seconds=0.2)})
-        cache.put("b", {"status": "ok"})           # pre-timing payload
+        cache.put(KEY_A, {"status": "ok", "timing": _timing(seconds=0.2)})
+        cache.put(KEY_B, {"status": "ok"})         # pre-timing payload
         timings = collect_timings(cache=cache)
         assert len(timings) == 1
         assert timings[0]["seconds"] == 0.2
 
     def test_cache_and_rows_combine(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("a", {"timing": _timing()})
+        cache.put(KEY_A, {"timing": _timing()})
         timings = collect_timings(
             cache=cache, rows=[{"timing": _timing(engine="enumerate")}]
         )

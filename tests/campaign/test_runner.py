@@ -352,14 +352,19 @@ class TestRetryErrors:
         assert sorted(r["resolution"] for r in third.rows) == \
             ["cached-ok"] * 3 + ["retried"]
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_solver_fix_changes_cached_verdict(self, tmp_path, backend):
+    @pytest.mark.parametrize("backend", ["jsonl", "http"])
+    def test_solver_fix_changes_cached_verdict(self, tmp_path, backend,
+                                               request):
         # simulate "a solver fix changes the verdict": overwrite the ok
         # rows with error payloads, as if the first run predated the fix
         spec = grid_spec(objectives=("period",),
                          solvers=({"name": "exact", "mode": "auto",
                                    "exact_fallback": True},))
-        cache = ResultCache(tmp_path, backend=backend)
+        if backend == "http":
+            server = request.getfixturevalue("server")
+            cache = ResultCache(url=server.url, backend="http")
+        else:
+            cache = ResultCache(tmp_path)
         first = run_campaign(spec, cache=cache, workers=0)
         assert first.stats["errors"] == 0
         broken = dict(first.rows[0])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -42,6 +43,22 @@ def hom3() -> Platform:
 def het4() -> Platform:
     """Speeds (2, 2, 1, 1) (Section 2, second platform)."""
     return Platform.heterogeneous([2.0, 2.0, 1.0, 1.0])
+
+
+@pytest.fixture
+def server(tmp_path):
+    """A running solver service on an ephemeral port (jsonl cache)."""
+    from repro.campaign import ResultCache
+    from repro.service.server import make_server
+
+    srv = make_server(port=0, cache=ResultCache(tmp_path / "server-cache"))
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+    srv.service.close()
+    thread.join(timeout=5)
 
 
 def pipeline_mapping(app, platform, parts, kinds=None):

@@ -267,23 +267,6 @@ class TestCampaignCommand:
         assert "1 error rows" in text
         assert "InvalidApplicationError" in text
 
-    def test_sqlite_backend_run_and_resume(self, tmp_path):
-        spec = self._write_spec(tmp_path)
-        cache = tmp_path / "cache"
-        code, _ = run_cli(
-            "campaign", "run", "--spec", str(spec),
-            "--cache-dir", str(cache), "--cache-backend", "sqlite",
-        )
-        assert code == 0
-        assert (cache / "cache.sqlite").exists()
-        assert not list(cache.glob("*.jsonl"))
-        code, text = run_cli(
-            "campaign", "run", "--spec", str(spec),
-            "--cache-dir", str(cache), "--cache-backend", "sqlite",
-        )
-        assert code == 0
-        assert "8 from cache" in text
-
     def test_retry_errors_flag(self, tmp_path):
         import json
 
@@ -487,10 +470,22 @@ class TestCampaignParetoCommand:
 
 
 class TestCampaignCacheCommand:
-    def _populate(self, tmp_path, backend):
+    """``campaign cache`` on a local directory and on a remote service
+    (whose cache is a jsonl directory too, so the reports agree)."""
+
+    @pytest.fixture(params=["jsonl", "http"])
+    def location(self, request, tmp_path):
+        """``(backend, cache flags)`` of a cache holding one key that was
+        re-put ten times."""
         from repro.campaign import ResultCache
 
-        cache = ResultCache(tmp_path / "cache", backend=backend)
+        if request.param == "http":
+            url = request.getfixturevalue("server").url
+            cache = ResultCache(url=url, backend="http")
+            flags = ("--cache-url", url)
+        else:
+            cache = ResultCache(tmp_path / "cache")
+            flags = ("--cache-dir", str(tmp_path / "cache"))
         key = "aa" + "0" * 62
         cache.put(key, {"status": "ok", "value": 1.0,
                         "mapping": {"pad": "x" * 100}})
@@ -498,58 +493,41 @@ class TestCampaignCacheCommand:
             cache.put(key, {"status": "ok", "value": float(i),
                             "mapping": {"pad": "x" * 100}})
         cache.close()
-        return tmp_path / "cache"
+        return request.param, flags
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_stats_then_compact(self, tmp_path, backend):
-        cache_dir = self._populate(tmp_path, backend)
-        code, text = run_cli(
-            "campaign", "cache", "stats", "--cache-dir", str(cache_dir),
-            "--cache-backend", backend,
-        )
+    def test_stats_then_compact(self, location):
+        backend, flags = location
+        code, text = run_cli("campaign", "cache", "stats", *flags)
         assert code == 0
         assert f"[{backend}]" in text
         assert "keys          : 1" in text
-        if backend == "jsonl":
-            assert "stale records : 10" in text
+        assert "stale records : 10" in text
 
-        code, text = run_cli(
-            "campaign", "cache", "compact", "--cache-dir", str(cache_dir),
-            "--cache-backend", backend,
-        )
+        code, text = run_cli("campaign", "cache", "compact", *flags)
         assert code == 0
         assert "compacted" in text
-        if backend == "jsonl":
-            assert "10 superseded records dropped" in text
+        assert "10 superseded records dropped" in text
 
-        code, text = run_cli(
-            "campaign", "cache", "stats", "--cache-dir", str(cache_dir),
-            "--cache-backend", backend,
-        )
+        code, text = run_cli("campaign", "cache", "stats", *flags)
         assert code == 0
         assert "stale records : 0" in text
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_compact_eviction_flags(self, tmp_path, backend):
-        cache_dir = self._populate(tmp_path, backend)
+    def test_compact_eviction_flags(self, location):
+        _, flags = location
         # generous budget: nothing evicted
         code, text = run_cli(
-            "campaign", "cache", "compact", "--cache-dir", str(cache_dir),
-            "--cache-backend", backend, "--max-bytes", "10000000",
+            "campaign", "cache", "compact", *flags,
+            "--max-bytes", "10000000",
         )
         assert code == 0
         assert "0 evicted by policy" in text
         # zero-day horizon: the single live record is evicted
         code, text = run_cli(
-            "campaign", "cache", "compact", "--cache-dir", str(cache_dir),
-            "--cache-backend", backend, "--max-age-days", "0",
+            "campaign", "cache", "compact", *flags, "--max-age-days", "0",
         )
         assert code == 0
         assert "1 evicted by policy" in text
-        code, text = run_cli(
-            "campaign", "cache", "stats", "--cache-dir", str(cache_dir),
-            "--cache-backend", backend,
-        )
+        code, text = run_cli("campaign", "cache", "stats", *flags)
         assert code == 0
         assert "keys          : 0" in text
 
@@ -558,32 +536,45 @@ class TestCampaignCacheCommand:
         assert code == 2
         assert "cache-dir" in text
 
-    def test_http_backend_needs_url(self, tmp_path):
-        code, text = run_cli(
-            "campaign", "cache", "stats",
-            "--cache-backend", "http",
-        )
-        assert code == 2
-        assert "--cache-url" in text
-
-    def test_cache_url_rejected_without_http_backend(self, tmp_path):
-        code, text = run_cli(
-            "campaign", "cache", "stats", "--cache-dir", str(tmp_path),
-            "--cache-url", "http://127.0.0.1:1",
-        )
-        assert code == 2
-        assert "--cache-backend http" in text
-
     def test_cache_dir_rejected_with_http_backend(self, tmp_path):
         # an ignored --cache-dir would let `compact --max-age-days 0`
         # silently empty the *remote* cache the operator didn't target
         code, text = run_cli(
             "campaign", "cache", "compact", "--cache-dir", str(tmp_path),
-            "--cache-backend", "http", "--cache-url", "http://127.0.0.1:1",
-            "--max-age-days", "0",
+            "--cache-url", "http://127.0.0.1:1", "--max-age-days", "0",
         )
         assert code == 2
         assert "does not apply" in text
+
+    def test_http_backend_needs_url(self, tmp_path):
+        # the circuit breaker guards the http cache, which only a URL opens
+        code, text = run_cli(
+            "campaign", "cache", "stats",
+            "--cache-fallback-dir", str(tmp_path / "journal"),
+        )
+        assert code == 2
+        assert "--cache-fallback-dir only applies to --cache-url" in text
+        code, text = run_cli(
+            "campaign", "cache", "stats", "--cache-dir", str(tmp_path),
+            "--cache-fallback-dir", str(tmp_path / "journal"),
+        )
+        assert code == 2
+        assert "--cache-url" in text
+
+    def test_no_parser_offers_cache_backend(self, capsys):
+        from repro.cli import build_parser
+
+        for argv in (["campaign", "run", "--spec", "x.json"],
+                     ["campaign", "pareto"],
+                     ["campaign", "cache", "stats"],
+                     ["campaign", "cache", "compact"],
+                     ["campaign", "profile"],
+                     ["serve"]):
+            build_parser().parse_args(argv)  # valid without the flag
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--cache-backend", "jsonl"])
+            assert "unrecognized arguments: --cache-backend" in \
+                capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -1,4 +1,5 @@
-"""Shared fixtures: a live in-process solver service per test."""
+"""Service fixtures: a client of the shared ``server`` fixture
+(``tests/conftest.py``), a killable service and a sample request."""
 
 import threading
 
@@ -7,19 +8,6 @@ import pytest
 from repro.campaign import ResultCache
 from repro.service import ServiceClient
 from repro.service.server import make_server
-
-
-@pytest.fixture
-def server(tmp_path):
-    """A running solver service on an ephemeral port (jsonl cache)."""
-    srv = make_server(port=0, cache=ResultCache(tmp_path / "server-cache"))
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    srv.service.close()
-    thread.join(timeout=5)
 
 
 class FlakyService:

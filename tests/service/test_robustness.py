@@ -85,7 +85,7 @@ def test_breaker_rides_out_a_service_restart(tmp_path, flaky_service):
 
 
 def test_tier_server_reports_breaker_state_in_stats(tmp_path, server):
-    tier = make_server(port=0, cache_backend="http", cache_url=server.url,
+    tier = make_server(port=0, cache_url=server.url,
                        cache_fallback_dir=str(tmp_path / "tier-journal"))
     import threading
     thread = threading.Thread(target=tier.serve_forever, daemon=True)

@@ -5,7 +5,7 @@ import pytest
 from repro.campaign.runner import solve_task, strip_volatile
 from repro.service import ServiceError, ServiceUnavailableError
 from repro.service.client import ServiceClient
-from repro.service.server import task_from_doc
+from repro.service.server import make_server, task_from_doc
 
 from repro.core import ReproError
 
@@ -44,6 +44,14 @@ class TestHealthAndStats:
         assert storage["backend"] == "jsonl"
         assert storage["keys"] == 1
         assert storage["counters"] == stats["cache"]["counters"]
+
+    def test_make_server_takes_a_dir_or_a_url(self, tmp_path):
+        # a cache directory means jsonl, a URL means an upstream service
+        with pytest.raises(ReproError, match="not both"):
+            make_server(port=0, cache_dir=str(tmp_path),
+                        cache_url="http://127.0.0.1:1")
+        with pytest.raises(ReproError, match="needs a cache"):
+            make_server(port=0)
 
 
 class TestSolveEndpoint:
@@ -129,6 +137,29 @@ class TestCacheEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("path", ["/v1/cache//tkey", "/v1/cache/zz",
+                                      "/v1/cache/" + "AB" * 32])
+    def test_malformed_key_put_is_400(self, server, client, path):
+        import urllib.error
+        import urllib.request
+
+        client.cache_put(KEY_FAKE, {"value": 1})
+        before = sorted(client.keys())
+        request = urllib.request.Request(
+            f"{server.url}{path}", data=b'{"value": 2}', method="PUT",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 400
+        assert b"malformed cache key" in err.value.read()
+        assert sorted(client.keys()) == before == [KEY_FAKE]
+
+    def test_malformed_key_get_is_400(self, client):
+        with pytest.raises(ServiceError) as err:
+            client._expect_ok("GET", "/v1/cache//tkey")
+        assert err.value.status == 400
 
     def test_compact_over_http(self, client):
         client.cache_put(KEY_FAKE, {"value": 1})
