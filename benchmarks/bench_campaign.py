@@ -17,8 +17,8 @@ polynomial Theorem 6 latency cell) three ways:
 
 Wall-clock for all three plus the measured speedup land in
 ``BENCH_campaign.json`` at the repository root, labelled with the
-``algorithm`` the rows report (the exact period cell routes to the
-``exact-blocks`` shortcut, not the generic bnb engine).  NOTE: the
+``algorithm`` the rows report (the exact period cell runs the bnb
+engine).  NOTE: the
 speedup column is only meaningful on multi-core hosts; on a single CPU
 fan-out adds fork overhead instead of parallelism — the file records
 whatever the hardware gives, honestly.

@@ -16,8 +16,10 @@ quality vs ``max_nodes`` on n=12..16 pipelines the unbudgeted guard
 refuses), measures the **MILP frontier** (instances at and past ``n = 14``
 closed *exactly* — gap 0 — by :mod:`repro.algorithms.milp`, plus a
 budgeted anytime entry and the LP-vs-combinatorial bound comparison),
-and writes ``BENCH_exact.json`` at the repository root so future PRs can
-track the speedup trajectory.
+measures the **size-guard corners** (every bnb limit of
+:func:`repro.algorithms.exact.guarded_optimal` solved unbudgeted at its
+``(stages, processors)`` corner), and writes ``BENCH_exact.json`` at the
+repository root so future PRs can track the speedup trajectory.
 
 The MILP section needs an installed backend (PuLP/CBC or SciPy);
 ``--milp-only`` regenerates just that section into an existing
@@ -46,7 +48,8 @@ import pytest
 
 import repro
 from repro.algorithms import brute_force as bf
-from repro.algorithms.problem import Objective, ProblemSpec
+from repro.algorithms import exact
+from repro.algorithms.problem import GraphKind, Objective, ProblemSpec
 from repro.algorithms.solve_context import ContextCache
 from repro.analysis import format_table
 from repro.analysis.pareto import non_dominated, threshold_grid
@@ -74,6 +77,8 @@ MILP_FULL = ((12, 8), (14, 8))
 MILP_QUICK = ((11, 6),)
 #: Budgeted MILP showcase: (n, p, max_seconds) — far past exact reach.
 MILP_BUDGETED = (20, 8, 2.0)
+#: Seeded instances solved at each bnb size-guard corner.
+GUARD_SEEDS = 3
 
 
 def _instance(rng: random.Random, n: int, p: int):
@@ -392,6 +397,56 @@ def run_milp(shapes=MILP_FULL, budgeted=MILP_BUDGETED,
     }
 
 
+def run_guard(seeds=GUARD_SEEDS, seed=SEED) -> list[dict]:
+    """Unbudgeted bnb solves at every bnb size-guard corner.
+
+    Each ``(engine, graph, criterion)`` limit of the guard is solved at
+    its ``(stages, processors)`` corner through
+    :func:`exact.guarded_optimal` (so the guard must admit it) on het
+    pipelines over het platforms without data parallelism.  The
+    engine-wide default is measured on the bi-criteria cell — latency
+    under a period threshold of 1.5x the optimal period — which keeps it.
+    Records the slowest solve; every solve must close at gap 0.
+    """
+    entries = []
+    for (engine, graph, crit), (n, p) in exact._ENGINE_LIMITS.items():
+        if engine != "bnb":
+            continue
+        assert graph in (None, GraphKind.PIPELINE), graph
+        rng = random.Random(seed + 5)
+        optima, gaps, worst = [], [], 0.0
+        for _ in range(seeds):
+            spec = _instance(rng, n, p)
+            bounds = {}
+            if crit in (None, "bicriteria"):
+                objective = Objective.LATENCY
+                period = bf.optimal(spec, Objective.PERIOD).period
+                bounds["period_bound"] = 1.5 * period
+            else:
+                objective = Objective(crit)
+            t0 = time.perf_counter()
+            sol = exact.guarded_optimal(spec, objective, **bounds)
+            worst = max(worst, time.perf_counter() - t0)
+            assert sol.meta["status"] == "optimal", sol.meta
+            optima.append(sol.objective_value(objective))
+            gaps.append(sol.meta.get("gap", 0.0))
+        entries.append({
+            "engine": engine,
+            "graph": graph.value if graph else None,
+            "criterion": crit,
+            "n": n,
+            "p": p,
+            "solved": ("latency under period threshold" if bounds
+                       else objective.value),
+            "seeds": seeds,
+            "status": "optimal",
+            "gap": max(gaps),
+            "max_seconds": round(worst, 6),
+            "optima": optima,
+        })
+    return entries
+
+
 def _rows(payload: dict) -> list[list[str]]:
     return [
         [
@@ -452,6 +507,24 @@ def _render_budget(entries: list[dict]) -> str:
     )
 
 
+def _render_guard(entries: list[dict]) -> str:
+    return format_table(
+        ["engine", "limit", "n x p", "solved", "seeds", "max s"],
+        [
+            [
+                e["engine"],
+                f"{e['graph'] or '*'} {e['criterion'] or '*'}",
+                f"{e['n']}x{e['p']}",
+                e["solved"],
+                str(e["seeds"]),
+                f"{e['max_seconds']:.2f}",
+            ]
+            for e in entries
+        ],
+        title="size-guard corners (unbudgeted, het pipelines)",
+    )
+
+
 def _render_milp(section: dict) -> str:
     rows = [
         [
@@ -503,10 +576,12 @@ def main(milp_only: bool = False) -> int:
     sweeps = run_sweeps(SWEEP_FULL)
     budget = run_budget_curve(BUDGET_FULL)
     milp_section = run_milp(MILP_FULL)
+    guard = run_guard()
     payload = run_matrix(FULL_SIZES)
     payload["showcase"] = run_showcase()
     payload["sweep"] = {"entries": sweeps}
     payload["budget"] = {"grid": list(BUDGET_GRID), "entries": budget}
+    payload["guard"] = {"entries": guard}
     if milp_section is not None:
         payload["milp"] = milp_section
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -520,6 +595,7 @@ def main(milp_only: bool = False) -> int:
         )
     print(_render_sweeps(payload["sweep"]["entries"]))
     print(_render_budget(payload["budget"]["entries"]))
+    print(_render_guard(guard))
     if milp_section is not None:
         print(_render_milp(milp_section))
     else:
@@ -565,6 +641,13 @@ def test_sweep_context_quick(report):
         # >= 2x measurement and check_bench_regressions.py gates *that*
         assert entry["rows_identical"]
     report("exact_sweep", _render_sweeps(entries))
+
+
+def test_guard_corners_quick(report):
+    # one seed per corner: the guard admits it and bnb closes it exactly
+    entries = run_guard(seeds=1)
+    assert all(e["status"] == "optimal" for e in entries)
+    report("exact_guard", _render_guard(entries))
 
 
 @pytest.mark.milp

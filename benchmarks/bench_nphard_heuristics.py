@@ -2,8 +2,9 @@
 
 Shape claims reproduced:
 
-* the structured exact solvers for the Theorem 9 and Theorem 12 problems
-  show super-polynomial growth (the NP-hard side of Table 1);
+* the exact solvers for the Theorem 9 problem (the bnb engine) and the
+  Theorem 12 problem (the ``P || Cmax`` reduction) show super-polynomial
+  growth (the NP-hard side of Table 1);
 * the heuristic portfolio (greedy/chains-to-chains seeds + local search,
   LPT) stays close to the exact optimum — quantified as a ratio table.
 
@@ -22,6 +23,7 @@ import pytest
 
 import repro
 from repro.algorithms import exact
+from repro.algorithms.problem import Objective, ProblemSpec
 from repro.analysis import format_table
 from repro.campaign import (
     CampaignSpec,
@@ -35,15 +37,16 @@ RNG_SEED = 73
 CACHE_DIR = Path(__file__).parent / "reports" / "campaign-cache"
 
 
-@pytest.mark.parametrize("n", [6, 9, 12])
-def test_exact_blocks_scaling(benchmark, n):
-    """Theorem 9 problem: the 2^{n-1} interval enumeration dominates."""
+@pytest.mark.parametrize("n", [6, 9, 12, 16])
+def test_thm9_bnb_scaling(benchmark, n):
+    """Theorem 9 problem: bnb over interval partitions and processor sets."""
     rng = random.Random(RNG_SEED + n)
     app = repro.PipelineApplication.from_works(
         [rng.randint(1, 9) for _ in range(n)]
     )
     plat = repro.Platform.heterogeneous([rng.randint(1, 5) for _ in range(6)])
-    sol = benchmark(lambda: exact.pipeline_period_exact_blocks(app, plat))
+    spec = ProblemSpec(app, plat, False)
+    sol = benchmark(lambda: exact.guarded_optimal(spec, Objective.PERIOD))
     assert sol.period > 0
     benchmark.extra_info["n"] = n
 
@@ -163,7 +166,9 @@ def test_exponential_vs_polynomial_shape(benchmark, report):
             hom_app = repro.PipelineApplication.homogeneous(n, 3.0)
             plat = repro.Platform.heterogeneous(speeds)
             t0 = time.perf_counter()
-            exact.pipeline_period_exact_blocks(het_app, plat)
+            exact.guarded_optimal(
+                ProblemSpec(het_app, plat, False), Objective.PERIOD
+            )
             t_exact = time.perf_counter() - t0
             t0 = time.perf_counter()
             from repro.algorithms import pipeline_het_platform
@@ -177,7 +182,7 @@ def test_exponential_vs_polynomial_shape(benchmark, report):
     report(
         "nphard_vs_poly_shape",
         format_table(
-            ["n", "exact het-pipeline (ms)", "Thm 7 hom-pipeline (ms)"],
+            ["n", "bnb het-pipeline (ms)", "Thm 7 hom-pipeline (ms)"],
             rows,
             title="NP-hard cell (Thm 9, exact) vs poly cell (Thm 7) runtime "
                   "growth, p=6",

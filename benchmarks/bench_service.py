@@ -9,7 +9,7 @@ The harness starts an in-process solver service (ephemeral port, jsonl
 cache in a tempdir) and measures three request regimes over a grid of
 heterogeneous-pipeline instances (the NP-hard period cell, solved
 exactly; the label names the ``algorithm`` the rows report, which for
-this cell is the ``exact-blocks`` shortcut rather than the bnb engine):
+this cell is the bnb engine):
 
 1. **cold** — sequential ``POST /v1/solve`` per instance, every request
    a cache miss that runs the solver;

@@ -9,8 +9,9 @@ replication and data-parallelism, under the paper's simplified
 
 * every polynomial algorithm of the paper (Theorems 1-4, 6-8, 10-11, 14 and
   the Section 6.3 fork-join extensions);
-* exhaustive and structured exact solvers for the NP-hard entries
-  (Theorems 5, 9, 12, 13, 15);
+* exact solvers for the NP-hard entries (Theorems 5, 9, 12, 13, 15):
+  branch-and-bound, flat enumeration, an optional MILP, and the
+  Theorem 12 ``P || Cmax`` reduction;
 * the NP-hardness reductions themselves (from 2-PARTITION and N3DM) as
   executable instance builders with solution back-mapping;
 * heuristics, a discrete-event simulator validating the cost model, the

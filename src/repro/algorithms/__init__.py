@@ -22,7 +22,7 @@ from . import (
     pipeline_hom_platform,
 )
 from .budget import Budget, BudgetExhaustedError
-from .problem import GraphKind, Objective, ProblemSpec, Solution
+from .problem import ENGINES, GraphKind, Objective, ProblemSpec, Solution
 from .registry import (
     TABLE,
     ComplexityEntry,
@@ -34,6 +34,7 @@ from .registry import (
 from .solve_context import ContextCache, SolveContext
 
 __all__ = [
+    "ENGINES",
     "Budget",
     "BudgetExhaustedError",
     "GraphKind",

@@ -2,7 +2,8 @@
 
 :func:`optimal` is the exact ground-truth entry point.  By default it routes
 through the pruned branch-and-bound engine (:mod:`repro.algorithms.bnb`),
-which extends exact solving to roughly ``n = 9..10``, ``p = 8``; pass
+which extends exact solving to roughly ``n = p = 10`` (pipeline periods
+to ``n = 16``, ``p = 10``); pass
 ``engine="enumerate"`` for the historical flat enumeration, kept as
 :func:`optimal_enumerated` because its very naivety makes it the trusted
 oracle for the engine-equivalence property tests.
@@ -45,7 +46,7 @@ from ..core.mapping import (
 )
 from ..core.validation import is_valid
 from .budget import CHECK_EVERY, Budget, BudgetExhaustedError, BudgetMeter
-from .problem import Objective, ProblemSpec, Solution
+from .problem import ENGINES, Objective, ProblemSpec, Solution
 
 __all__ = [
     "compositions",
@@ -271,7 +272,8 @@ def optimal(
 
     * ``"bnb"`` (default) — the pruned branch-and-bound engine of
       :mod:`repro.algorithms.bnb`; exact, and typically orders of magnitude
-      faster (usable to roughly ``n = 9..10``, ``p = 8``);
+      faster (pipeline periods close in about a second at ``n = 16``,
+      ``p = 10``; other shapes to roughly ``n = p = 10``);
     * ``"enumerate"`` — the historical flat enumeration
       (:func:`optimal_enumerated`), kept as the oracle for the equivalence
       property tests and the engine benchmarks;
@@ -293,6 +295,10 @@ def optimal(
     Raises :class:`InfeasibleProblemError` when no valid mapping meets the
     bounds.
     """
+    if engine not in ENGINES:
+        raise ReproError(
+            f"unknown exact engine {engine!r} (choose from {list(ENGINES)})"
+        )
     if engine == "bnb":
         from .bnb import optimal as bnb_optimal
 
@@ -307,8 +313,6 @@ def optimal(
             spec, objective, period_bound, latency_bound, context=context,
             budget=budget,
         )
-    if engine != "enumerate":
-        raise ReproError(f"unknown exact engine {engine!r}")
     return optimal_enumerated(
         spec, objective, period_bound, latency_bound, context=context,
         budget=budget,

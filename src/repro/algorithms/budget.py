@@ -33,12 +33,13 @@ Semantics
   within this budget the instance is neither solved nor proven
   infeasible.
 
-Budgets are honored by the exact paths only (``bnb`` and ``enumerate``
-engines via :func:`repro.algorithms.brute_force.optimal`, the generic
-wrappers in :mod:`repro.algorithms.exact`, and :func:`repro.solve` with
-``exact_fallback``).  Polynomial solvers ignore budgets — they are fast
-by theorem — and the structured exact shortcuts are bypassed in favor of
-the budget-aware branch-and-bound when a bounded budget is supplied.
+Budgets are honored by the exact paths only (the engines via
+:func:`repro.algorithms.brute_force.optimal`, the guarded
+:func:`repro.algorithms.exact.guarded_optimal`, whose size guard a
+bounded budget lifts, and :func:`repro.solve` with ``exact_fallback``).
+Polynomial solvers ignore budgets — they are fast by theorem — and a
+bounded budget routes the Theorem 12 fork-latency cell around its
+``P || Cmax`` shortcut to the budget-aware engine.
 """
 
 from __future__ import annotations

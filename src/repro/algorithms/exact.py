@@ -1,243 +1,107 @@
 """Exact solvers for the NP-hard variants of Table 1.
 
-These complement :mod:`repro.algorithms.brute_force` (which enumerates every
-valid mapping and only scales to toy sizes) with *structured* exponential
-searches that exploit the exchange arguments of the paper:
-
-* :func:`pipeline_period_exact_blocks` — heterogeneous pipeline, period,
-  no data-parallelism (the Theorem 9 NP-hard problem).  Enumerates the
-  ``2^{n-1}`` interval partitions; for each, the processor side collapses:
-  there is an optimal solution whose replication groups are consecutive
-  blocks of the speed-sorted processors (unused processors slowest), and for
-  fixed blocks the loads are matched to block capacities sorted-to-sorted.
+* :func:`guarded_optimal` — the exact solve of every NP-hard cell: the
+  engine the caller names (:func:`repro.algorithms.brute_force.optimal`)
+  behind a size guard that refuses instances past that engine's measured
+  reach for the instance's graph kind and criterion.
 * :func:`makespan_partition_exact` — exact ``P || Cmax`` branch-and-bound,
   the combinatorial core of the Theorem 12 fork-latency problem.
 * :func:`fork_latency_exact_hom_platform` — heterogeneous fork on a
   homogeneous platform, latency, no data-parallelism: equals
   ``(w0 + Cmax) / s`` where ``Cmax`` is the optimal ``P || Cmax`` makespan
-  of the branch works over ``p`` machines.
-* thin guards around brute force for every other variant
-  (:func:`pipeline_exact`, :func:`fork_exact`, :func:`forkjoin_exact`).
+  of the branch works over ``p`` machines.  This structured reduction is
+  10^3-10^5x faster than the generic engines on its cell.
 
-All of these have exponential worst cases — that is Table 1's point — but
-the structured ones handle ``n, p`` up to ~12-14 comfortably, enough to
-measure the scaling gap against the polynomial entries.
+All of these have exponential worst cases — that is Table 1's point.
 """
 
 from __future__ import annotations
 
-from ..core.application import ForkApplication, PipelineApplication
+from ..core.application import ForkApplication
 from ..core.costs import FLOAT_TOL
 from ..core.exceptions import InfeasibleProblemError, ReproError
-from ..core.mapping import (
-    AssignmentKind,
-    ForkMapping,
-    GroupAssignment,
-    PipelineMapping,
-)
+from ..core.mapping import AssignmentKind, ForkMapping, GroupAssignment
 from ..core.platform import Platform
-from .brute_force import compositions, optimal as brute_optimal
+from .brute_force import optimal as brute_optimal
 from .budget import Budget
-from .problem import Objective, ProblemSpec, Solution
+from .problem import ENGINES, GraphKind, Objective, ProblemSpec, Solution
 
 __all__ = [
-    "pipeline_exact",
-    "fork_exact",
-    "forkjoin_exact",
-    "pipeline_period_exact_blocks",
+    "guarded_optimal",
     "makespan_partition_exact",
     "fork_latency_exact_hom_platform",
 ]
 
-#: Size guards for the generic exact wrappers, per engine.  The pruned
-#: branch-and-bound engine reaches noticeably further than flat enumeration,
-#: and the MILP engine (optional backend) pushes the closed frontier to a
-#: few tens of stages/processors.
-_ENGINE_LIMITS = {"enumerate": 7, "bnb": 10, "milp": 30}
+#: Unbudgeted size guards: the largest ``(stages, processors)`` corner an
+#: engine is allowed to search, keyed by ``(engine, graph kind,
+#: criterion)`` with criterion ``"period"``, ``"latency"`` or
+#: ``"bicriteria"``; the ``(engine, None, None)`` entry is the
+#: engine-wide default.  bnb closes single-criterion pipeline periods in
+#: about a second at their corner; pipeline latency with data parallelism
+#: (7-16 s already at n = p = 10) and bi-criteria solves (up to 6 s at
+#: n = 12-14, p = 10) keep the default.  ``BENCH_exact.json`` records a gap-0 solve
+#: at every bnb corner (its ``guard`` section).
+_ENGINE_LIMITS: dict[tuple, tuple[int, int]] = {
+    ("enumerate", None, None): (7, 7),
+    ("bnb", None, None): (10, 10),
+    ("bnb", GraphKind.PIPELINE, "period"): (16, 10),
+    ("milp", None, None): (30, 30),
+}
+
+#: Stages a graph has beyond its ``application.n`` (fork root, join).
+_EXTRA_STAGES = {
+    GraphKind.PIPELINE: 0, GraphKind.FORK: 1, GraphKind.FORK_JOIN: 2,
+}
 
 
-def _guard(n_stages: int, p: int, engine: str = "bnb",
-           budget: Budget | None = None) -> None:
-    if engine not in _ENGINE_LIMITS:
+def _criterion(
+    objective: Objective,
+    period_bound: float | None,
+    latency_bound: float | None,
+) -> str:
+    """The guard's criterion key: the objective, or ``"bicriteria"`` when
+    the other criterion carries a bound."""
+    other = latency_bound if objective is Objective.PERIOD else period_bound
+    return objective.value if other is None else "bicriteria"
+
+
+def guarded_optimal(
+    spec: ProblemSpec,
+    objective: Objective,
+    period_bound: float | None = None,
+    latency_bound: float | None = None,
+    engine: str = "bnb",
+    context=None,
+    budget: Budget | None = None,
+) -> Solution:
+    """Exact optimum through ``engine``, refused past the engine's reach.
+
+    The stage count includes a fork's root and a fork-join's join.  A
+    bounded ``budget`` lifts the size guard: the solve terminates by
+    construction, returning an anytime incumbent on exhaustion.
+    """
+    if engine not in ENGINES:
         raise ReproError(
-            f"unknown exact engine {engine!r} (choose from "
-            f"{sorted(_ENGINE_LIMITS)})"
+            f"unknown exact engine {engine!r} (choose from {list(ENGINES)})"
         )
-    if budget is not None and budget.is_bounded:
-        # a bounded budget replaces the size guard: the solve terminates
-        # by construction and returns an anytime incumbent on exhaustion
-        return
-    limit = _ENGINE_LIMITS[engine]
-    if n_stages > limit or p > limit:
+    crit = _criterion(objective, period_bound, latency_bound)
+    max_n, max_p = _ENGINE_LIMITS.get(
+        (engine, spec.graph_kind, crit), _ENGINE_LIMITS[(engine, None, None)]
+    )
+    n = spec.application.n + _EXTRA_STAGES[spec.graph_kind]
+    p = spec.platform.p
+    if (budget is None or not budget.is_bounded) and (n > max_n or p > max_p):
+        size = (f"{max_n} stages/processors" if max_n == max_p
+                else f"{max_n} stages/{max_p} processors")
         raise ReproError(
-            f"exact solving with engine {engine!r} is limited to {limit} "
-            f"stages/processors (got n={n_stages}, p={p}); use the structured "
-            "exact solvers or repro.heuristics for larger instances"
+            f"exact solving with engine {engine!r} is limited to {size} "
+            f"on {spec.graph_kind.value} {crit} solves (got n={n}, p={p}); "
+            "pass a budget for an anytime incumbent, or use repro.heuristics"
         )
-
-
-def pipeline_exact(
-    spec: ProblemSpec,
-    objective: Objective,
-    period_bound: float | None = None,
-    latency_bound: float | None = None,
-    engine: str = "bnb",
-    context=None,
-    budget: Budget | None = None,
-) -> Solution:
-    """Generic exact pipeline solution (any variant, small sizes).
-
-    A bounded ``budget`` lifts the size guard: the solve terminates by
-    construction, returning an anytime incumbent on exhaustion.
-    """
-    _guard(spec.application.n, spec.platform.p, engine, budget)
     return brute_optimal(
         spec, objective, period_bound, latency_bound, engine, context=context,
         budget=budget,
     )
-
-
-def fork_exact(
-    spec: ProblemSpec,
-    objective: Objective,
-    period_bound: float | None = None,
-    latency_bound: float | None = None,
-    engine: str = "bnb",
-    context=None,
-    budget: Budget | None = None,
-) -> Solution:
-    """Generic exact fork solution (any variant, small sizes).
-
-    A bounded ``budget`` lifts the size guard: the solve terminates by
-    construction, returning an anytime incumbent on exhaustion.
-    """
-    _guard(spec.application.n + 1, spec.platform.p, engine, budget)
-    return brute_optimal(
-        spec, objective, period_bound, latency_bound, engine, context=context,
-        budget=budget,
-    )
-
-
-def forkjoin_exact(
-    spec: ProblemSpec,
-    objective: Objective,
-    period_bound: float | None = None,
-    latency_bound: float | None = None,
-    engine: str = "bnb",
-    context=None,
-    budget: Budget | None = None,
-) -> Solution:
-    """Generic exact fork-join solution (any variant, small sizes).
-
-    A bounded ``budget`` lifts the size guard: the solve terminates by
-    construction, returning an anytime incumbent on exhaustion.
-    """
-    _guard(spec.application.n + 2, spec.platform.p, engine, budget)
-    return brute_optimal(
-        spec, objective, period_bound, latency_bound, engine, context=context,
-        budget=budget,
-    )
-
-
-# ======================================================================
-# Theorem 9 problem: heterogeneous pipeline, period, no data-parallelism
-# ======================================================================
-def pipeline_period_exact_blocks(
-    app: PipelineApplication, platform: Platform
-) -> Solution:
-    """Exact period for a heterogeneous pipeline without data-parallelism.
-
-    Search space after the exchange arguments:
-
-    * stage side — all ``2^{n-1}`` partitions into ``q`` intervals
-      (``q <= min(n, p)``), yielding interval loads;
-    * processor side — consecutive blocks over speed-*descending*
-      processors (a block's replication capacity is
-      ``size * min_speed = size * last_speed``); unused processors are the
-      slowest (any other solution can be exchanged into this form without
-      increasing the period);
-    * matching — for fixed loads and blocks, pairing sorted-descending
-      loads with sorted-descending capacities minimizes the max ratio.
-
-    Pruning: a partition is abandoned when its largest load divided by the
-    best single-block capacity already exceeds the incumbent.
-    """
-    n, p = app.n, platform.p
-    works = app.works
-    order = platform.sorted_by_speed(descending=True)
-    speeds_desc = [proc.speed for proc in order]
-
-    # best capacity of a block of size k (a prefix block is fastest)
-    best_cap = [0.0] * (p + 1)
-    for k in range(1, p + 1):
-        best_cap[k] = max(best_cap[k - 1], k * speeds_desc[k - 1])
-    max_cap = best_cap[p]
-
-    prefix = [0.0] * (n + 1)
-    for i, w in enumerate(works):
-        prefix[i + 1] = prefix[i] + w
-
-    best_value = float("inf")
-    best_plan: tuple | None = None
-
-    def block_compositions(q: int):
-        """Compositions (k_1..k_q) with sum <= p (used processors prefix)."""
-        for used in range(q, p + 1):
-            yield from compositions(used, q)
-
-    for q in range(1, min(n, p) + 1):
-        for comp in compositions(n, q):
-            # interval loads, in stage order
-            loads = []
-            start = 0
-            for length in comp:
-                loads.append(prefix[start + length] - prefix[start])
-                start += length
-            max_load = max(loads)
-            if max_load / max_cap >= best_value - FLOAT_TOL:
-                continue  # even the best block cannot serve the heaviest load
-            loads_sorted = sorted(range(q), key=lambda r: -loads[r])
-            for sizes in block_compositions(q):
-                # capacities of consecutive descending blocks
-                caps = []
-                pos = 0
-                for k in sizes:
-                    caps.append((k * speeds_desc[pos + k - 1], pos, k))
-                    pos += k
-                caps.sort(key=lambda c: -c[0])
-                value = max(
-                    loads[r] / caps[t][0] for t, r in enumerate(loads_sorted)
-                )
-                if value < best_value - FLOAT_TOL:
-                    best_value = value
-                    best_plan = (comp, loads_sorted, caps)
-
-    assert best_plan is not None
-    comp, loads_sorted, caps = best_plan
-    # rebuild stage intervals
-    intervals = []
-    start = 1
-    for length in comp:
-        intervals.append(tuple(range(start, start + length)))
-        start += length
-    # assign each load its block
-    assignment: dict[int, tuple[int, int]] = {}
-    for t, r in enumerate(loads_sorted):
-        _, pos, k = caps[t]
-        assignment[r] = (pos, k)
-    groups = []
-    for r, stages in enumerate(intervals):
-        pos, k = assignment[r]
-        procs = tuple(sorted(order[t].index for t in range(pos, pos + k)))
-        groups.append(
-            GroupAssignment(
-                stages=stages, processors=procs, kind=AssignmentKind.REPLICATED
-            )
-        )
-    mapping = PipelineMapping(
-        application=app, platform=platform, groups=tuple(groups)
-    )
-    return Solution.from_mapping(mapping, algorithm="exact-blocks")
 
 
 # ======================================================================

@@ -29,7 +29,10 @@ from ..core.costs import evaluate
 from ..core.platform import Platform
 from ..core.validation import validate
 
-__all__ = ["GraphKind", "Objective", "ProblemSpec", "Solution"]
+__all__ = ["ENGINES", "GraphKind", "Objective", "ProblemSpec", "Solution"]
+
+#: The exact search engines, by the name every ``engine=`` option takes.
+ENGINES = ("bnb", "enumerate", "milp")
 
 
 class GraphKind(enum.Enum):

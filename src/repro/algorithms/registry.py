@@ -233,8 +233,11 @@ def solve(
     the flat enumeration oracle (``"enumerate"``), or the MILP
     formulation (``"milp"``, :mod:`repro.algorithms.milp`) over an
     optional PuLP/CBC or SciPy/HiGHS backend, which closes instances
-    well past the combinatorial engines and always bypasses the
-    structured shortcuts.
+    well past the combinatorial engines.  The one structured shortcut,
+    the Theorem 12 ``P || Cmax`` reduction for fork latency on a
+    homogeneous platform, serves its cell for ``bnb`` and ``enumerate``;
+    every other NP-hard cell runs the engine named here, behind the size
+    guard of :func:`repro.algorithms.exact.guarded_optimal`.
 
     ``context`` — a :class:`~repro.algorithms.solve_context.SolveContext`
     built for this instance — shares per-instance solver state across the
@@ -247,9 +250,9 @@ def solve(
     exhaustion, the engine returns the best incumbent plus a proven lower
     bound with ``meta["status"] == "budget_exhausted"`` — see
     :mod:`repro.algorithms.budget`.  Polynomial solvers ignore budgets
-    (they are fast by theorem), and bounded budgets route the exact
-    fallback through the budget-aware generic engines rather than the
-    structured shortcuts.
+    (they are fast by theorem), and a bounded budget routes the Theorem 12
+    cell through the budget-aware engine rather than the ``P || Cmax``
+    shortcut.
     """
     if context is not None:
         context.require(spec)
@@ -340,27 +343,12 @@ def _exact_dispatch(
     spec, objective, period_bound, latency_bound, engine="bnb", context=None,
     budget=None,
 ) -> Solution:
-    app = spec.application
-    # structured shortcuts are complete searches with no anytime hook, so
-    # a bounded budget routes through the budget-aware generic engines; an
-    # explicit engine="milp" request likewise bypasses them so the MILP
-    # formulation actually runs
-    unbudgeted = (budget is None or not budget.is_bounded) and engine != "milp"
-    if spec.graph_kind is GraphKind.PIPELINE:
-        if (
-            unbudgeted
-            and objective is Objective.PERIOD
-            and not spec.allow_data_parallel
-            and period_bound is None
-            and latency_bound is None
-        ):
-            return exact.pipeline_period_exact_blocks(app, spec.platform)
-        return exact.pipeline_exact(
-            spec, objective, period_bound, latency_bound, engine,
-            context=context, budget=budget,
-        )
+    # the Thm 12 P||Cmax reduction is a complete search with no anytime
+    # hook, so it serves only unbudgeted single-criterion solves that did
+    # not ask for the milp formulation
     if (
-        unbudgeted
+        (budget is None or not budget.is_bounded)
+        and engine != "milp"
         and spec.graph_kind is GraphKind.FORK
         and objective is Objective.LATENCY
         and not spec.allow_data_parallel
@@ -368,13 +356,10 @@ def _exact_dispatch(
         and period_bound is None
         and latency_bound is None
     ):
-        return exact.fork_latency_exact_hom_platform(app, spec.platform)
-    if spec.graph_kind is GraphKind.FORK_JOIN:
-        return exact.forkjoin_exact(
-            spec, objective, period_bound, latency_bound, engine,
-            context=context, budget=budget,
+        return exact.fork_latency_exact_hom_platform(
+            spec.application, spec.platform
         )
-    return exact.fork_exact(
+    return exact.guarded_optimal(
         spec, objective, period_bound, latency_bound, engine, context=context,
         budget=budget,
     )

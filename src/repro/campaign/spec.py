@@ -32,6 +32,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
+from ..algorithms import ENGINES
 from ..algorithms.budget import Budget
 from ..core.exceptions import ReproError
 from ..generators import (
@@ -59,7 +60,6 @@ __all__ = [
 SPEC_VERSION = 1
 
 _MODES = ("auto", "exact", "heuristic", "random")
-_ENGINES = ("bnb", "enumerate", "milp")
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,9 @@ class SolverConfig:
             raise ReproError(
                 f"unknown solver mode {self.mode!r}; choose from {_MODES}"
             )
-        if self.engine not in _ENGINES:
+        if self.engine not in ENGINES:
             raise ReproError(
-                f"unknown exact engine {self.engine!r}; choose from {_ENGINES}"
+                f"unknown exact engine {self.engine!r}; choose from {ENGINES}"
             )
         if self.samples < 1:
             raise ReproError("samples must be >= 1")

@@ -99,6 +99,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -114,6 +115,7 @@ from . import (
     classify,
     solve,
 )
+from .algorithms import ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -629,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p_solve)
     p_solve.add_argument("--exact", action="store_true",
                          help="exponential exact fallback for NP-hard cells")
-    p_solve.add_argument("--engine", choices=("bnb", "enumerate", "milp"),
+    p_solve.add_argument("--engine", choices=ENGINES,
                          default="bnb",
                          help="exact search engine for --exact: pruned "
                               "branch-and-bound (default), flat enumeration, "
@@ -647,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--period-bound", type=float, default=None)
     p_scen.add_argument("--latency-bound", type=float, default=None)
     p_scen.add_argument("--exact", action="store_true")
-    p_scen.add_argument("--engine", choices=("bnb", "enumerate", "milp"),
+    p_scen.add_argument("--engine", choices=ENGINES,
                         default="bnb")
     p_scen.add_argument("--heuristic", action="store_true")
     _add_budget_flags(p_scen)
@@ -655,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="solve then simulate")
     _add_instance_flags(p_sim)
     p_sim.add_argument("--exact", action="store_true")
-    p_sim.add_argument("--engine", choices=("bnb", "enumerate", "milp"),
+    p_sim.add_argument("--engine", choices=ENGINES,
                        default="bnb")
     p_sim.add_argument("--heuristic", action="store_true")
     p_sim.add_argument("--data-sets", type=int, default=500)
@@ -726,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="allow data-parallel stages")
     p_par.add_argument("--exact", action="store_true",
                        help="exponential exact fallback for NP-hard cells")
-    p_par.add_argument("--engine", choices=("bnb", "enumerate", "milp"),
+    p_par.add_argument("--engine", choices=ENGINES,
                        default="bnb")
     p_par.add_argument("--workers", type=int, default=0,
                        help="process-pool size for the threshold sweep")
@@ -810,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="auto", help="solver mode (SolverConfig)")
     p_submit.add_argument("--exact", action="store_true",
                           help="exact_fallback for --mode auto")
-    p_submit.add_argument("--engine", choices=("bnb", "enumerate", "milp"),
+    p_submit.add_argument("--engine", choices=ENGINES,
                           default="bnb")
     p_submit.add_argument("--seed", type=int, default=0,
                           help="seed for heuristic/random modes")
@@ -839,6 +841,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
+    except BrokenPipeError:
+        # the reader went away (``repro ... | head``): writing the error
+        # would raise again, and so would the exit-time flush of stdout
+        # unless it points at devnull (the recipe of the ``signal`` docs)
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ReproError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=out)
         return 2

@@ -50,9 +50,9 @@ def pipeline_period_greedy(
        capacities (the pairing that minimizes the max ratio for *fixed*
        blocks).
 
-    The block *sizing* is the heuristic part — the exact solver
-    :func:`repro.algorithms.exact.pipeline_period_exact_blocks` instead
-    enumerates all block compositions.
+    The interval cut and the block *sizing* are the heuristic parts; the
+    exact optimum of this Theorem 9 problem comes from
+    :func:`repro.algorithms.exact.guarded_optimal` (the bnb engine).
     """
     n, p = app.n, platform.p
     if not 1 <= q <= min(n, p):

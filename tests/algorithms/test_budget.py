@@ -28,8 +28,8 @@ def _pipeline(works, speeds, dp=False) -> ProblemSpec:
     )
 
 
-HARD = _pipeline(
-    [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8],       # n=12: beyond the guard
+HARD = _pipeline(                # n=17: beyond bnb's n <= 16 period guard
+    [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2],
     [1, 2, 3, 2, 1, 2, 3, 1],
 )
 MEDIUM = _pipeline([3, 1, 4, 1, 5, 9, 2], [1, 2, 3, 2])   # enumerable, n=7
@@ -158,8 +158,8 @@ def test_exhaustion_without_incumbent_raises():
 # ----------------------------------------------------------- guard lifting
 def test_bounded_budget_lifts_exact_size_guard():
     with pytest.raises(ReproError, match="limited to"):
-        exact.pipeline_exact(HARD, Objective.PERIOD)
-    solution = exact.pipeline_exact(
+        exact.guarded_optimal(HARD, Objective.PERIOD)
+    solution = exact.guarded_optimal(
         HARD, Objective.PERIOD, budget=Budget(max_nodes=2_000)
     )
     assert solution.meta["status"] == "budget_exhausted"

@@ -1,6 +1,9 @@
-"""Tests for the structured exact solvers and the Lemma 1/2 transforms."""
+"""Tests for the guarded exact entry point, the Thm 12 ``P || Cmax``
+reduction and the Lemma 1/2 transforms."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from repro.algorithms.lemmas import (
 from repro.algorithms.problem import Objective, ProblemSpec
 from repro.core import (
     ForkApplication,
+    ForkJoinApplication,
     PipelineApplication,
     Platform,
     ReproError,
@@ -67,29 +71,6 @@ class TestLemma2:
         for group in stripped.groups:
             if group.kind.value == "replicated":
                 assert group.k == 1
-
-
-class TestPipelinePeriodExactBlocks:
-    def test_matches_brute_force(self):
-        rng = random.Random(91)
-        for _ in range(10):
-            n, p = rng.randint(1, 5), rng.randint(1, 5)
-            app = PipelineApplication.from_works(
-                [rng.randint(1, 9) for _ in range(n)]
-            )
-            plat = Platform.heterogeneous([rng.randint(1, 5) for _ in range(p)])
-            want = bf.optimal(
-                ProblemSpec(app, plat, False), Objective.PERIOD
-            ).period
-            got = exact.pipeline_period_exact_blocks(app, plat)
-            assert got.period == pytest.approx(want)
-
-    def test_handles_more_processors_than_stages(self):
-        app = PipelineApplication.from_works([10, 1])
-        plat = Platform.heterogeneous([1.0, 1.0, 1.0, 5.0])
-        sol = exact.pipeline_period_exact_blocks(app, plat)
-        want = bf.optimal(ProblemSpec(app, plat, False), Objective.PERIOD).period
-        assert sol.period == pytest.approx(want)
 
 
 class TestMakespanExact:
@@ -150,11 +131,11 @@ class TestForkLatencyExact:
 
 class TestBruteGuards:
     def test_size_guard_bnb(self):
-        # the default bnb engine reaches n = p = 10, but no further
+        # single-criterion pipeline periods reach p = 10, but no further
         app = PipelineApplication.homogeneous(11)
         plat = Platform.homogeneous(11)
         with pytest.raises(ReproError):
-            exact.pipeline_exact(
+            exact.guarded_optimal(
                 ProblemSpec(app, plat, False), Objective.PERIOD
             )
 
@@ -163,7 +144,7 @@ class TestBruteGuards:
         app = PipelineApplication.homogeneous(8)
         plat = Platform.homogeneous(8)
         with pytest.raises(ReproError):
-            exact.pipeline_exact(
+            exact.guarded_optimal(
                 ProblemSpec(app, plat, False), Objective.PERIOD,
                 engine="enumerate",
             )
@@ -172,11 +153,52 @@ class TestBruteGuards:
         # n = p = 8 was out of reach for the old guard; bnb solves it
         app = PipelineApplication.homogeneous(8)
         plat = Platform.homogeneous(8)
-        sol = exact.pipeline_exact(
+        sol = exact.guarded_optimal(
             ProblemSpec(app, plat, False), Objective.PERIOD
         )
         # 8 unit stages replicated over 8 unit processors: period 1
         assert sol.period == pytest.approx(1.0)
+
+    def test_bnb_guard_is_shape_aware(self):
+        # pipeline periods reach n = 16; latency, bi-criteria and forks
+        # keep the engine-wide n, p <= 10 default (a fork's root and a
+        # fork-join's join count as stages)
+        plat = Platform.homogeneous(10)
+        spec = ProblemSpec(PipelineApplication.homogeneous(16), plat, False)
+        sol = exact.guarded_optimal(spec, Objective.PERIOD)
+        assert sol.period == pytest.approx(1.6)
+        refused = [
+            (ProblemSpec(PipelineApplication.homogeneous(17), plat, False),
+             Objective.PERIOD, {}, "limited to 16 stages/10 processors"),
+            (ProblemSpec(PipelineApplication.homogeneous(11), plat, True),
+             Objective.LATENCY, {}, "pipeline latency"),
+            (spec, Objective.PERIOD, {"latency_bound": 100.0},
+             "pipeline bicriteria"),
+            (ProblemSpec(ForkApplication.homogeneous(10), plat, False),
+             Objective.PERIOD, {}, "(got n=11, p=10)"),
+            (ProblemSpec(ForkJoinApplication.homogeneous(9), plat, False),
+             Objective.PERIOD, {}, "(got n=11, p=10)"),
+        ]
+        for spec_, objective, bounds, message in refused:
+            with pytest.raises(ReproError, match="limited to") as err:
+                exact.guarded_optimal(spec_, objective, **bounds)
+            assert message in str(err.value)
+
+    def test_every_bnb_limit_is_a_recorded_gap0_corner(self):
+        # each bnb corner must be backed by a committed unbudgeted solve
+        # at exactly that size, closed at gap 0
+        bench = Path(__file__).resolve().parents[2] / "BENCH_exact.json"
+        closed = {
+            (e["graph"], e["criterion"], e["n"], e["p"])
+            for e in json.loads(bench.read_text())["guard"]["entries"]
+            if e["engine"] == "bnb" and e["status"] == "optimal"
+            and e["gap"] == 0.0
+        }
+        limits = [(key, corner) for key, corner in
+                  exact._ENGINE_LIMITS.items() if key[0] == "bnb"]
+        assert len(limits) >= 2
+        for (_, graph, crit), (n, p) in limits:
+            assert (graph and graph.value, crit, n, p) in closed
 
     def test_unknown_engine_rejected(self):
         from repro.algorithms import brute_force as bf
@@ -188,3 +210,31 @@ class TestBruteGuards:
                 ProblemSpec(app, plat, False), Objective.PERIOD,
                 engine="quantum",
             )
+
+
+#: Seeded Thm 9 instances (het pipeline, het platform, period, no data
+#: parallelism) with the optimum an independent structured search
+#: (interval partitions x blocks of speed-sorted processors) computed for
+#: each; bnb must keep returning them unbudgeted.
+THM9_PINS = [
+    ((8, 6, 5, 3, 3, 1, 6, 9, 8), (5, 1, 3, 5, 5, 6, 1, 6), 1.5833333333333333),
+    ((8, 5, 9, 6, 3, 7, 1, 6, 8, 5, 8, 4), (5, 1, 6, 5, 2, 4, 3, 2), 2.7),
+    ((2, 9, 4, 5, 5, 5, 2, 8, 5, 8, 7, 7, 2, 5),
+     (2, 3, 3, 3, 3, 6, 6, 5), 2.5),
+    ((6, 8, 8, 5, 7, 4, 8, 1, 7, 5, 4, 4, 1, 5, 5, 6),
+     (6, 2, 6, 5, 3, 1, 2, 5, 3, 1), 2.6666666666666665),
+]
+
+
+@pytest.mark.parametrize(
+    "works,speeds,want", THM9_PINS, ids=[f"n={len(w)}" for w, _, _ in THM9_PINS]
+)
+def test_bnb_keeps_thm9_optima(works, speeds, want):
+    spec = ProblemSpec(
+        PipelineApplication.from_works(works),
+        Platform.heterogeneous(speeds),
+        False,
+    )
+    sol = exact.guarded_optimal(spec, Objective.PERIOD)
+    assert sol.meta["algorithm"] == "bnb"
+    assert sol.period == pytest.approx(want)

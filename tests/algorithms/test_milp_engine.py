@@ -144,7 +144,7 @@ def test_milp_lifts_the_unbudgeted_size_guard():
     """n=12 refuses bnb/enumerate unbudgeted but solves with milp."""
     rng = random.Random(20260812)
     spec = _het_pipeline(rng, 12, 4)
-    sol = exact.pipeline_exact(spec, Objective.LATENCY, engine="milp")
+    sol = exact.guarded_optimal(spec, Objective.LATENCY, engine="milp")
     assert sol.meta["status"] == "optimal"
     # latency of a het pipeline is minimized by one group on the fastest
     # processor — an independently checkable optimum
@@ -157,9 +157,12 @@ def test_milp_lifts_the_unbudgeted_size_guard():
 def test_size_guard_message_pinned_for_combinatorial_engines():
     rng = random.Random(20260813)
     spec = _het_pipeline(rng, 12, 4)
+    # bi-criteria: bnb's pipeline periods reach n=16, bi-criteria stays at 10
+    bound = sum(spec.application.works)
     for engine, limit in (("bnb", 10), ("enumerate", 7)):
         with pytest.raises(ReproError) as err:
-            exact.pipeline_exact(spec, Objective.PERIOD, engine=engine)
+            exact.guarded_optimal(spec, Objective.PERIOD, latency_bound=bound,
+                                  engine=engine)
         assert (
             f"exact solving with engine {engine!r} is limited to {limit} "
             "stages/processors" in str(err.value)
@@ -171,7 +174,7 @@ def test_unknown_engine_lists_all_three():
     rng = random.Random(20260814)
     spec = _het_pipeline(rng, 3, 2)
     with pytest.raises(ReproError, match=r"\['bnb', 'enumerate', 'milp'\]"):
-        exact.pipeline_exact(spec, Objective.PERIOD, engine="simplex")
+        exact.guarded_optimal(spec, Objective.PERIOD, engine="simplex")
 
 
 # ----------------------------------------------------------------------

@@ -87,6 +87,23 @@ class TestSolveFacade:
         sol = solve(spec, Objective.PERIOD, exact_fallback=True)
         assert sol.period > 0
 
+    def test_thm9_cell_runs_the_named_engine(self):
+        """The Thm 9 period cell has no structured shortcut: the exact
+        fallback runs bnb by default and flat enumeration on request."""
+        spec = ProblemSpec(
+            PipelineApplication.from_works([14, 4, 2, 4, 7]),
+            Platform.heterogeneous([3, 1, 2, 2]),
+            allow_data_parallel=False,
+        )
+        assert classify(spec, Objective.PERIOD).theorem == "Thm 9"
+        default = solve(spec, Objective.PERIOD, exact_fallback=True)
+        flat = solve(
+            spec, Objective.PERIOD, exact_fallback=True, engine="enumerate"
+        )
+        assert default.meta["algorithm"] == "bnb"
+        assert flat.meta["algorithm"] == "brute-force"
+        assert default.period == pytest.approx(flat.period)
+
     def test_all_polynomial_cells_dispatch(self):
         """Every poly cell must route to a working solver."""
         apps = {

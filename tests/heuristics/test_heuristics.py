@@ -36,7 +36,9 @@ class TestPipelineGreedy:
             plat = Platform.heterogeneous([rng.randint(1, 5) for _ in range(p)])
             sol = pipeline_period_sweep(app, plat)
             validate(sol.mapping, allow_data_parallel=False)
-            best = exact.pipeline_period_exact_blocks(app, plat)
+            best = bf.optimal(
+                ProblemSpec(app, plat, False), Objective.PERIOD
+            )
             assert sol.period >= best.period - 1e-9
 
     def test_single_interval(self):
@@ -63,7 +65,9 @@ class TestPipelineGreedy:
             )
             plat = Platform.heterogeneous([rng.randint(1, 4) for _ in range(p)])
             sol = pipeline_period_sweep(app, plat)
-            best = exact.pipeline_period_exact_blocks(app, plat)
+            best = bf.optimal(
+                ProblemSpec(app, plat, False), Objective.PERIOD
+            )
             assert sol.period <= 2.0 * best.period + 1e-9
 
 

@@ -21,6 +21,27 @@ class TestTable1Command:
         assert "NP-hard (**)" in text
 
 
+class _ClosedPipe:
+    """An output whose reader has gone away, like ``repro ... | head``."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_broken_pipe_exits_cleanly_without_writing_again():
+    out = _ClosedPipe()
+    # the first write raises; main must not re-raise nor write "error: ..."
+    assert main(["table1"], out=out) == 1
+    assert out.writes == 1
+
+
 class TestSolveCommand:
     def test_pipeline_hom(self):
         code, text = run_cli(
