@@ -81,12 +81,20 @@ MILP_BUDGETED = (20, 8, 2.0)
 GUARD_SEEDS = 3
 
 
-def _instance(rng: random.Random, n: int, p: int):
-    app = repro.PipelineApplication.from_works(
-        [rng.randint(1, 9) for _ in range(n)]
-    )
+def _instance(rng: random.Random, n: int, p: int,
+              graph=GraphKind.PIPELINE, allow_dp: bool = False):
+    """A het ``graph`` of ``n`` stages (a fork's root included) on ``p``
+    het processors."""
+    if graph is GraphKind.FORK:
+        app = repro.ForkApplication.from_works(
+            rng.randint(1, 9), [rng.randint(1, 9) for _ in range(n - 1)]
+        )
+    else:
+        app = repro.PipelineApplication.from_works(
+            [rng.randint(1, 9) for _ in range(n)]
+        )
     plat = repro.Platform.heterogeneous([rng.randint(1, 6) for _ in range(p)])
-    return ProblemSpec(app, plat, False)
+    return ProblemSpec(app, plat, allow_dp)
 
 
 def _timed(spec, objective, engine):
@@ -403,20 +411,23 @@ def run_guard(seeds=GUARD_SEEDS, seed=SEED) -> list[dict]:
     Each ``(engine, graph, criterion)`` limit of the guard is solved at
     its ``(stages, processors)`` corner through
     :func:`exact.guarded_optimal` (so the guard must admit it) on het
-    pipelines over het platforms without data parallelism.  The
-    engine-wide default is measured on the bi-criteria cell — latency
-    under a period threshold of 1.5x the optimal period — which keeps it.
-    Records the slowest solve; every solve must close at gap 0.
+    graphs of the limit's kind (pipelines for the default) over het
+    platforms.  Latency corners allow data parallelism, the shape that
+    makes them slow; the others do not.  The engine-wide default is
+    measured on the bi-criteria cell — latency under a period threshold
+    of 1.5x the optimal period — which keeps it.  Records the slowest
+    solve; every solve must close at gap 0.
     """
     entries = []
     for (engine, graph, crit), (n, p) in exact._ENGINE_LIMITS.items():
         if engine != "bnb":
             continue
-        assert graph in (None, GraphKind.PIPELINE), graph
+        assert graph in (None, GraphKind.PIPELINE, GraphKind.FORK), graph
         rng = random.Random(seed + 5)
         optima, gaps, worst = [], [], 0.0
         for _ in range(seeds):
-            spec = _instance(rng, n, p)
+            spec = _instance(rng, n, p, graph or GraphKind.PIPELINE,
+                             allow_dp=crit == "latency")
             bounds = {}
             if crit in (None, "bicriteria"):
                 objective = Objective.LATENCY
@@ -521,7 +532,7 @@ def _render_guard(entries: list[dict]) -> str:
             ]
             for e in entries
         ],
-        title="size-guard corners (unbudgeted, het pipelines)",
+        title="size-guard corners (unbudgeted, het graphs)",
     )
 
 

@@ -19,7 +19,8 @@ import pytest
 
 import repro
 from repro.analysis import format_table
-from repro.core import batch_evaluate, evaluate
+from repro.core import evaluate
+from repro.core.batch_eval import batch_evaluate
 from repro.generators import random_fork, random_forkjoin, random_pipeline, random_platform
 from repro.heuristics import random_fork_mapping, random_pipeline_mapping
 from repro.simulation import simulate

@@ -44,10 +44,10 @@ behaviour-preserving: a context-backed solve returns bit-identical
 solutions to a cold one.
 
 Fork/fork-join Phase B prices its *leaf* level (the last unassigned
-block) as one numpy batch: the child states are flattened into arrays and
-the sequential first-strict-improvement scan of the incumbent is replayed
-vectorized (:func:`repro.core.batch_eval.last_improvement_scan`) instead
-of recursing once per leaf.
+block) in one loop instead of recursing once per leaf: each child is a
+complete assignment, skipped when it breaks a threshold and accepted when
+it beats the incumbent by more than ``FLOAT_TOL``, so the last accepted
+leaf wins exactly as it would in the recursion.
 
 Bi-criteria thresholds prune with the same bounds; both the objective
 incumbent and the threshold feasibility use the global ``FLOAT_TOL``
@@ -62,11 +62,8 @@ in seconds).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..chains.partition import prefix_sums
 from ..core.application import ForkApplication, ForkJoinApplication
-from ..core.batch_eval import last_improvement_scan
 from ..core.costs import FLOAT_TOL, evaluate
 from ..core.exceptions import InfeasibleProblemError
 from ..core.mapping import (
@@ -707,16 +704,14 @@ def _solve_fork_like(
         def assign_last_block(
             cur_period, t0, root_delay, other_max, done_max, join_time
         ) -> None:
-            """Batch-score the leaves of the final block as one numpy scan.
+            """Offer every leaf of the final block to the incumbent in turn.
 
-            Every child of the last block is a complete assignment; the
-            scalar path would recurse once per child just to compute the
-            leaf latency and offer it.  Instead the child states are
-            flattened into arrays, infeasible leaves are masked against
-            the threshold caps, and the incumbent's sequential
-            first-strict-improvement scan is replayed vectorized — the
-            selected leaf (and final incumbent value) is exactly what the
-            per-leaf recursion would have produced.
+            Every child of the last block is a complete assignment, so
+            instead of recursing once per child this loop prices each one
+            where it stands: a leaf that breaks a threshold cap is skipped,
+            and one whose value beats the incumbent by more than
+            ``FLOAT_TOL`` replaces it.  Only the last accepted leaf's
+            processors are materialized.
             """
             got = score_children(
                 q - 1, cur_period, t0, root_delay, other_max,
@@ -730,29 +725,22 @@ def _solve_fork_like(
             search.nodes += len(scored)  # the leaves the recursion would visit
             if metered and search.nodes >= search.next_check:
                 search.checkpoint()
-            m = len(scored)
-            periods = np.fromiter(
-                (ch[3] for ch in scored), dtype=float, count=m
-            )
-            latencies = np.fromiter(
-                (leaf_latency(ch[4], ch[5], ch[6], ch[7], ch[8])
-                 for ch in scored),
-                dtype=float, count=m,
-            )
-            values = periods if by_period else latencies
-            masked = values
-            infeasible = None
-            if search.period_cap is not None:
-                infeasible = periods > search.period_cap
-            if search.latency_cap is not None:
-                over = latencies > search.latency_cap
-                infeasible = over if infeasible is None else infeasible | over
-            if infeasible is not None:
-                masked = np.where(infeasible, _INF, values)
-            pick, best = last_improvement_scan(masked, search.best_value)
+            period_cap, latency_cap = search.period_cap, search.latency_cap
+            best = search.best_value
+            pick = None
+            for ch in scored:
+                period = ch[3]
+                if period_cap is not None and period > period_cap:
+                    continue
+                latency = leaf_latency(ch[4], ch[5], ch[6], ch[7], ch[8])
+                if latency_cap is not None and latency > latency_cap:
+                    continue
+                value = period if by_period else latency
+                if value < best - FLOAT_TOL:
+                    best, pick = value, ch
             if pick is None:
                 return
-            counts, kind = scored[pick][1], scored[pick][2]
+            counts, kind = pick[1], pick[2]
             procs = pool.take(counts)
             pool.restore(counts)
             search.best_value = best

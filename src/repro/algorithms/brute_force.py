@@ -3,7 +3,7 @@
 :func:`optimal` is the exact ground-truth entry point.  By default it routes
 through the pruned branch-and-bound engine (:mod:`repro.algorithms.bnb`),
 which extends exact solving to roughly ``n = p = 10`` (pipeline periods
-to ``n = 16``, ``p = 10``); pass
+to ``n = 16``, ``p = 10``; pipeline and fork latency to ``p = 8``); pass
 ``engine="enumerate"`` for the historical flat enumeration, kept as
 :func:`optimal_enumerated` because its very naivety makes it the trusted
 oracle for the engine-equivalence property tests.
@@ -273,7 +273,8 @@ def optimal(
     * ``"bnb"`` (default) — the pruned branch-and-bound engine of
       :mod:`repro.algorithms.bnb`; exact, and typically orders of magnitude
       faster (pipeline periods close in about a second at ``n = 16``,
-      ``p = 10``; other shapes to roughly ``n = p = 10``);
+      ``p = 10``, pipeline and fork latency at 9 and 8 stages, ``p = 8``;
+      other shapes to roughly ``n = p = 10``);
     * ``"enumerate"`` — the historical flat enumeration
       (:func:`optimal_enumerated`), kept as the oracle for the equivalence
       property tests and the engine benchmarks;

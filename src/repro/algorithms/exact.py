@@ -36,15 +36,18 @@ __all__ = [
 #: engine is allowed to search, keyed by ``(engine, graph kind,
 #: criterion)`` with criterion ``"period"``, ``"latency"`` or
 #: ``"bicriteria"``; the ``(engine, None, None)`` entry is the
-#: engine-wide default.  bnb closes single-criterion pipeline periods in
-#: about a second at their corner; pipeline latency with data parallelism
-#: (7-16 s already at n = p = 10) and bi-criteria solves (up to 6 s at
-#: n = 12-14, p = 10) keep the default.  ``BENCH_exact.json`` records a gap-0 solve
-#: at every bnb corner (its ``guard`` section).
+#: engine-wide default.  bnb closes each single-criterion corner below in
+#: about a second: pipeline periods reach n = 16, while pipeline latency
+#: with data parallelism (7-16 s at n = p = 10) and fork latency (4.9 s
+#: at n = 9, p = 8) stop inside the default.  Bi-criteria solves (up
+#: to 6 s at n = 12-14, p = 10) keep the default.  ``BENCH_exact.json``
+#: records a gap-0 solve at every bnb corner (its ``guard`` section).
 _ENGINE_LIMITS: dict[tuple, tuple[int, int]] = {
     ("enumerate", None, None): (7, 7),
     ("bnb", None, None): (10, 10),
     ("bnb", GraphKind.PIPELINE, "period"): (16, 10),
+    ("bnb", GraphKind.PIPELINE, "latency"): (9, 8),
+    ("bnb", GraphKind.FORK, "latency"): (8, 8),
     ("milp", None, None): (30, 30),
 }
 

@@ -8,7 +8,6 @@ communication-aware model of Section 3.3.
 """
 
 from .application import ForkApplication, ForkJoinApplication, PipelineApplication
-from .batch_eval import BatchEvaluator, batch_evaluate
 from .comm_costs import (
     CommunicationModel,
     OnePortInterval,
@@ -78,8 +77,6 @@ __all__ = [
     "forkjoin_period",
     "forkjoin_latency",
     "evaluate",
-    "BatchEvaluator",
-    "batch_evaluate",
     "CommunicationModel",
     "OnePortInterval",
     "interval_costs",

@@ -44,45 +44,7 @@ __all__ = [
     "BatchEvaluator",
     "batch_evaluate",
     "feasible_argmin",
-    "last_improvement_scan",
 ]
-
-
-def last_improvement_scan(
-    values: np.ndarray, start: float, tol: float = FLOAT_TOL
-) -> tuple[int | None, float]:
-    """Replay the sequential strict-improvement incumbent scan, vectorized.
-
-    The exact engines accept a candidate only when it beats the running
-    incumbent by more than ``tol`` (``value < best - tol``), and the
-    *last* accepted candidate wins.  That recurrence is order-sensitive —
-    a plain ``argmin`` would pick a different representative among
-    near-ties — so batch scoring must replay it faithfully.  The
-    vectorized form rests on one fact: every accepted candidate also
-    strictly improves the running minimum of everything seen before it
-    (the incumbent never exceeds that minimum by more than ``tol``), so
-    the accumulated-minimum prefilter keeps every possible update and the
-    exact scalar recurrence only runs over that short candidate list.
-
-    Returns ``(index, incumbent)``: the index of the last accepted
-    candidate (``None`` when nothing improves) and the final incumbent
-    value.  Infeasible candidates should be masked to ``inf`` upstream.
-    """
-    m = len(values)
-    if m == 0:
-        return None, start
-    running = np.empty(m)
-    running[0] = start
-    if m > 1:
-        np.minimum(np.minimum.accumulate(values[:-1]), start, out=running[1:])
-    best = start
-    pick: int | None = None
-    for i in np.nonzero(values < running)[0]:
-        v = values[i]
-        if v < best - tol:
-            best = float(v)
-            pick = int(i)
-    return pick, best
 
 
 def feasible_argmin(

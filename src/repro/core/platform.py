@@ -14,8 +14,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .exceptions import InvalidPlatformError
 
 __all__ = ["Processor", "Interconnect", "Platform", "IN", "OUT"]
@@ -159,11 +157,6 @@ class Platform:
     @property
     def speeds(self) -> tuple[float, ...]:
         return tuple(proc.speed for proc in self.processors)
-
-    @property
-    def speed_array(self) -> np.ndarray:
-        """Speeds as a numpy vector (for vectorized cost evaluation)."""
-        return np.array(self.speeds, dtype=float)
 
     @property
     def total_speed(self) -> float:

@@ -13,7 +13,7 @@ from repro.algorithms.lemmas import (
     strip_data_parallelism_hom,
     strip_replication_for_latency,
 )
-from repro.algorithms.problem import Objective, ProblemSpec
+from repro.algorithms.problem import GraphKind, Objective, ProblemSpec
 from repro.core import (
     ForkApplication,
     ForkJoinApplication,
@@ -160,9 +160,10 @@ class TestBruteGuards:
         assert sol.period == pytest.approx(1.0)
 
     def test_bnb_guard_is_shape_aware(self):
-        # pipeline periods reach n = 16; latency, bi-criteria and forks
-        # keep the engine-wide n, p <= 10 default (a fork's root and a
-        # fork-join's join count as stages)
+        # pipeline periods reach n = 16; bi-criteria solves and fork
+        # periods keep the engine-wide n, p <= 10 default, pipeline and
+        # fork latency stop earlier (a fork's root and a fork-join's join
+        # count as stages)
         plat = Platform.homogeneous(10)
         spec = ProblemSpec(PipelineApplication.homogeneous(16), plat, False)
         sol = exact.guarded_optimal(spec, Objective.PERIOD)
@@ -183,6 +184,25 @@ class TestBruteGuards:
             with pytest.raises(ReproError, match="limited to") as err:
                 exact.guarded_optimal(spec_, objective, **bounds)
             assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "kind,build,corner",
+        [(GraphKind.PIPELINE, PipelineApplication.homogeneous, (9, 8)),
+         (GraphKind.FORK, lambda n: ForkApplication.homogeneous(n - 1),
+          (8, 8))],
+        ids=["pipeline", "fork"],
+    )
+    def test_bnb_latency_corners_refuse_one_step_past(self, kind, build,
+                                                      corner):
+        # unbudgeted latency solves stop where bnb closes in about a
+        # second; one more stage or processor is refused
+        assert exact._ENGINE_LIMITS[("bnb", kind, "latency")] == corner
+        n, p = corner
+        for n_, p_ in ((n + 1, p), (n, p + 1)):
+            spec = ProblemSpec(build(n_), Platform.homogeneous(p_), True)
+            with pytest.raises(ReproError, match="latency solves") as err:
+                exact.guarded_optimal(spec, Objective.LATENCY)
+            assert f"(got n={n_}, p={p_})" in str(err.value)
 
     def test_every_bnb_limit_is_a_recorded_gap0_corner(self):
         # each bnb corner must be backed by a committed unbudgeted solve

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import ReproError, Stage, batch_evaluate, evaluate
-from repro.core.batch_eval import BatchEvaluator
+from repro.core import ReproError, Stage, evaluate
+from repro.core.batch_eval import BatchEvaluator, batch_evaluate
 from repro.heuristics import random_fork_mapping, random_pipeline_mapping
 
 

@@ -1,6 +1,5 @@
 """Unit tests for the platform model."""
 
-import numpy as np
 import pytest
 
 from repro.core import IN, OUT, Interconnect, InvalidPlatformError, Platform, Processor
@@ -29,10 +28,6 @@ class TestPlatform:
         assert not plat.is_homogeneous
         assert plat.fastest.index == 0  # ties broken by lowest index
         assert plat.total_speed == 6.0
-
-    def test_speed_array(self):
-        plat = Platform.heterogeneous([3, 1])
-        assert np.allclose(plat.speed_array, [3.0, 1.0])
 
     def test_sorted_by_speed(self):
         plat = Platform.heterogeneous([2, 1, 3])
