@@ -11,7 +11,11 @@ the enumerator's reach), measures the **bi-criteria threshold sweep** —
 cold per-point solves vs one shared
 :class:`~repro.algorithms.solve_context.SolveContext` (the
 ``analysis.pareto_front`` / ``campaign pareto`` hot path) — asserting
-bit-identical rows, measures the **anytime budget curve** (incumbent
+bit-identical rows, measures the **Pareto-front walk** (the same sweep
+instances traced by ``analysis.pareto_front``, which walks the threshold
+grid from the top and skips settled thresholds, against a solve at every
+grid point — identical fronts, fewer tasks), measures the **anytime
+budget curve** (incumbent
 quality vs ``max_nodes`` on n=12..16 pipelines the unbudgeted guard
 refuses), measures the **MILP frontier** (instances at and past ``n = 14``
 closed *exactly* — gap 0 — by :mod:`repro.algorithms.milp`, plus a
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import platform as _platform_mod
 import random
 import sys
@@ -83,11 +88,16 @@ GUARD_SEEDS = 3
 
 def _instance(rng: random.Random, n: int, p: int,
               graph=GraphKind.PIPELINE, allow_dp: bool = False):
-    """A het ``graph`` of ``n`` stages (a fork's root included) on ``p``
-    het processors."""
+    """A het ``graph`` of ``n`` stages (a fork's root and a fork-join's
+    join included) on ``p`` het processors."""
     if graph is GraphKind.FORK:
         app = repro.ForkApplication.from_works(
             rng.randint(1, 9), [rng.randint(1, 9) for _ in range(n - 1)]
+        )
+    elif graph is GraphKind.FORK_JOIN:
+        app = repro.ForkJoinApplication.from_works(
+            rng.randint(1, 9), [rng.randint(1, 9) for _ in range(n - 2)],
+            rng.randint(1, 9),
         )
     else:
         app = repro.PipelineApplication.from_works(
@@ -132,6 +142,7 @@ def run_matrix(sizes=FULL_SIZES, seed=SEED) -> dict:
         "seed": seed,
         "python": sys.version.split()[0],
         "machine": _platform_mod.machine(),
+        "cpus": os.cpu_count(),
         "entries": entries,
     }
 
@@ -273,6 +284,107 @@ def run_sweep(n: int, p: int, points: int, engine: str, seed=SEED,
 def run_sweeps(shapes=SWEEP_FULL, seed=SEED) -> list[dict]:
     """The sweep benchmark matrix (see :data:`SWEEP_FULL`)."""
     return [run_sweep(n, p, points, engine, seed=seed)
+            for n, p, points, engine in shapes]
+
+
+def _front_rows(front) -> list[dict]:
+    from repro.serialization import mapping_to_dict
+
+    return [{"period": s.period, "latency": s.latency,
+             "algorithm": s.meta.get("algorithm"),
+             "mapping": mapping_to_dict(s.mapping)} for s in front]
+
+
+def _grid_front(spec, points: int, engine: str, cache=None) -> list[dict]:
+    """The full-grid sweep the walk replaced: both extremes and every
+    grid threshold solved (keyed as ``pareto_front`` keys them, sharing
+    one :class:`ContextCache`), then one non-domination pass."""
+    from repro.analysis.pareto import _solution_from_row
+    from repro.campaign.runner import execute_tasks
+
+    instance = spec_to_dict(spec)
+    solver = {"name": "pareto", "mode": "auto", "exact_fallback": True,
+              "engine": engine}
+
+    def _task(i: int, objective: str, bound: float | None = None) -> Task:
+        return Task(index=i, instance_id="pareto", instance=instance,
+                    objective=objective, period_bound=bound,
+                    latency_bound=None, solver=solver)
+
+    contexts = ContextCache()
+    extremes = execute_tasks([_task(0, "period"), _task(1, "latency")],
+                             cache=cache, context_cache=contexts)
+    lo, hi = (_solution_from_row(row) for row in extremes)
+    thresholds = threshold_grid(lo.period, max(hi.period, lo.period), points)
+    sweep = execute_tasks(
+        [_task(i, "latency", bound * (1 + FLOAT_TOL))
+         for i, bound in enumerate(thresholds)],
+        cache=cache, context_cache=contexts,
+    )
+    return _front_rows(non_dominated(
+        [lo, hi, *(_solution_from_row(r) for r in sweep
+                   if r["status"] == "ok")]
+    ))
+
+
+def run_front(n: int, p: int, points: int, engine: str, seed=SEED,
+              repeats: int = 5) -> dict:
+    """Full threshold grid vs the descending walk of ``pareto_front``.
+
+    Traces the front of the :func:`run_sweep` instance both ways: every
+    grid threshold solved, and ``analysis.pareto_front``, which walks the
+    same grid from the top and skips each threshold a solve already
+    settled.  Counts the solved tasks (extremes included) on an
+    always-miss cache and times both with interleaved best-of repeats.
+    The fronts — periods, latencies, labels and mappings — must match.
+    """
+    from repro.analysis import pareto_front
+    from repro.campaign import CacheBackend, ResultCache
+
+    class _NoStore(CacheBackend):
+        name = "no-store"
+
+        def load(self, key):
+            return None
+
+        def store(self, key, row):
+            pass
+
+    spec = _instance(random.Random(seed + 2), n, p)
+
+    def _walk(cache=None):
+        return _front_rows(pareto_front(spec, num_points=points,
+                                        exact_fallback=True, engine=engine,
+                                        cache=cache))
+
+    counted = {"grid": ResultCache(backend=_NoStore()),
+               "walk": ResultCache(backend=_NoStore())}
+    _grid_front(spec, points, engine, counted["grid"])
+    _walk(counted["walk"])
+    seconds, fronts = _best_of(
+        {"grid": lambda: _grid_front(spec, points, engine), "walk": _walk},
+        repeats,
+    )
+    assert fronts["grid"] == fronts["walk"], (
+        f"walk and full grid disagree at {n}x{p}"
+    )
+    return {
+        "n": n,
+        "p": p,
+        "engine": engine,
+        "points": points,
+        "grid_tasks": counted["grid"].misses,
+        "walk_tasks": counted["walk"].misses,
+        "grid_seconds": round(seconds["grid"], 6),
+        "walk_seconds": round(seconds["walk"], 6),
+        "fronts_identical": True,
+        "front_points": len(fronts["walk"]),
+    }
+
+
+def run_fronts(shapes=SWEEP_FULL, seed=SEED) -> list[dict]:
+    """The front benchmark over the sweep shapes (see :data:`SWEEP_FULL`)."""
+    return [run_front(n, p, points, engine, seed=seed)
             for n, p, points, engine in shapes]
 
 
@@ -422,7 +534,6 @@ def run_guard(seeds=GUARD_SEEDS, seed=SEED) -> list[dict]:
     for (engine, graph, crit), (n, p) in exact._ENGINE_LIMITS.items():
         if engine != "bnb":
             continue
-        assert graph in (None, GraphKind.PIPELINE, GraphKind.FORK), graph
         rng = random.Random(seed + 5)
         optima, gaps, worst = [], [], 0.0
         for _ in range(seeds):
@@ -494,6 +605,26 @@ def _render_sweeps(entries: list[dict]) -> str:
             for e in entries
         ],
         title="threshold sweeps: cold per-point vs shared SolveContext",
+    )
+
+
+def _render_fronts(entries: list[dict]) -> str:
+    return format_table(
+        ["n x p", "engine", "points", "grid tasks", "walk tasks",
+         "grid (ms)", "walk (ms)"],
+        [
+            [
+                f"{e['n']}x{e['p']}",
+                e["engine"],
+                str(e["points"]),
+                str(e["grid_tasks"]),
+                str(e["walk_tasks"]),
+                f"{e['grid_seconds'] * 1e3:.1f}",
+                f"{e['walk_seconds'] * 1e3:.1f}",
+            ]
+            for e in entries
+        ],
+        title="Pareto fronts: full threshold grid vs descending walk",
     )
 
 
@@ -585,12 +716,14 @@ def main(milp_only: bool = False) -> int:
     # enumerate matrix heats the process (allocator state after that run
     # inflates the ~30 ms context pass disproportionately)
     sweeps = run_sweeps(SWEEP_FULL)
+    fronts = run_fronts(SWEEP_FULL)
     budget = run_budget_curve(BUDGET_FULL)
     milp_section = run_milp(MILP_FULL)
     guard = run_guard()
     payload = run_matrix(FULL_SIZES)
     payload["showcase"] = run_showcase()
     payload["sweep"] = {"entries": sweeps}
+    payload["front"] = {"entries": fronts}
     payload["budget"] = {"grid": list(BUDGET_GRID), "entries": budget}
     payload["guard"] = {"entries": guard}
     if milp_section is not None:
@@ -605,6 +738,7 @@ def main(milp_only: bool = False) -> int:
             f"{r['nodes']} nodes"
         )
     print(_render_sweeps(payload["sweep"]["entries"]))
+    print(_render_fronts(fronts))
     print(_render_budget(payload["budget"]["entries"]))
     print(_render_guard(guard))
     if milp_section is not None:
@@ -652,6 +786,15 @@ def test_sweep_context_quick(report):
         # >= 2x measurement and check_bench_regressions.py gates *that*
         assert entry["rows_identical"]
     report("exact_sweep", _render_sweeps(entries))
+
+
+def test_front_walk_quick(report):
+    # run_front asserts the walk's front equals the full grid's
+    entries = run_fronts(SWEEP_QUICK)
+    for entry in entries:
+        assert entry["fronts_identical"]
+        assert entry["walk_tasks"] <= entry["grid_tasks"]
+    report("exact_front", _render_fronts(entries))
 
 
 def test_guard_corners_quick(report):

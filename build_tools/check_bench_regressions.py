@@ -18,6 +18,9 @@ must clear the floors future PRs may not regress:
   >= 2x faster than cold per-point solves (and the sweep rows must have
   been verified bit-identical when the file was generated), with
   search-effort totals present in every entry;
+* the front section of ``BENCH_exact.json`` — ``analysis.pareto_front``
+  (a descending walk over the threshold grid) must have returned the
+  same front as a solve at every grid point, in no more tasks;
 * the budget section of ``BENCH_exact.json`` — the anytime contract:
   incumbents were verified monotone in the node budget and sound
   against their lower bounds, every recorded gap is finite, and the
@@ -109,8 +112,31 @@ def check_exact(path: Path) -> list[str]:
             _fail(f"{label}: context-reuse speedup {entry['speedup']}x "
                   f"fell below the {MIN_SWEEP_SPEEDUP}x floor")
         lines.append(f"  {label}: {entry['speedup']}x (>= {MIN_SWEEP_SPEEDUP}x)")
+    lines += check_front(path, doc)
     lines += check_budget(path, doc)
     lines += check_milp(path, doc)
+    return lines
+
+
+def check_front(path: Path, doc: dict) -> list[str]:
+    """The front-walk gate: the walk returns the full grid's front and
+    never solves more tasks than the grid."""
+    entries = doc.get("front", {}).get("entries", [])
+    if not entries:
+        _fail(f"{path.name} has no front section — regenerate with "
+              "PYTHONPATH=src python benchmarks/bench_exact_engines.py")
+    lines = []
+    for entry in entries:
+        label = (f"front {entry['engine']} {entry['n']}x{entry['p']} "
+                 f"({entry['points']} points)")
+        if not entry.get("fronts_identical"):
+            _fail(f"{label}: the walk's front was not verified identical "
+                  "to the full grid's")
+        if entry["walk_tasks"] > entry["grid_tasks"]:
+            _fail(f"{label}: the walk solved {entry['walk_tasks']} tasks, "
+                  f"more than the grid's {entry['grid_tasks']}")
+        lines.append(f"  {label}: {entry['walk_tasks']} tasks "
+                     f"(<= grid {entry['grid_tasks']})")
     return lines
 
 

@@ -38,9 +38,11 @@ __all__ = [
 #: ``"bicriteria"``; the ``(engine, None, None)`` entry is the
 #: engine-wide default.  bnb closes each single-criterion corner below in
 #: about a second: pipeline periods reach n = 16, while pipeline latency
-#: with data parallelism (7-16 s at n = p = 10) and fork latency (4.9 s
-#: at n = 9, p = 8) stop inside the default.  Bi-criteria solves (up
-#: to 6 s at n = 12-14, p = 10) keep the default.  ``BENCH_exact.json``
+#: with data parallelism (7-16 s at n = p = 10), fork latency (4.9 s
+#: at n = 9, p = 8) and fork-join latency (up to 3.8 s with data
+#: parallelism at 8 x 7 and 7 x 8) stop inside the default.  Bi-criteria
+#: solves (up to 6 s at n = 12-14, p = 10) keep the default.
+#: ``BENCH_exact.json``
 #: records a gap-0 solve at every bnb corner (its ``guard`` section).
 _ENGINE_LIMITS: dict[tuple, tuple[int, int]] = {
     ("enumerate", None, None): (7, 7),
@@ -48,6 +50,7 @@ _ENGINE_LIMITS: dict[tuple, tuple[int, int]] = {
     ("bnb", GraphKind.PIPELINE, "period"): (16, 10),
     ("bnb", GraphKind.PIPELINE, "latency"): (9, 8),
     ("bnb", GraphKind.FORK, "latency"): (8, 8),
+    ("bnb", GraphKind.FORK_JOIN, "latency"): (7, 7),
     ("milp", None, None): (30, 30),
 }
 

@@ -5,15 +5,18 @@ period threshold" (and the converse).  Sweeping the threshold over the
 achievable periods traces the Pareto front of a problem instance, which the
 examples plot as text.
 
-The sweep executes through the campaign runner
-(:mod:`repro.campaign.runner`): the two extreme solves and the whole
-threshold batch become content-addressed tasks, so a :class:`ResultCache`
+The sweep walks a geometric threshold grid from the top down and solves
+only the thresholds whose answer is not yet known: a solve at threshold K
+returning period p settles every threshold between p and K.  Each solve
+executes through the campaign runner (:mod:`repro.campaign.runner`) as a
+content-addressed task keyed like its grid point, so a :class:`ResultCache`
 makes repeat or overlapping fronts (e.g. the same instance at different
-resolutions, or a re-run after a crash) resolve without re-solving, and
-``workers=N`` fans the independent threshold solves out to processes.
+resolutions, or a re-run after a crash) resolve without re-solving.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from ..algorithms.problem import Objective, ProblemSpec, Solution
 from ..algorithms.registry import NPHardError
@@ -104,21 +107,33 @@ def pareto_front(
     exact_fallback: bool = False,
     engine: str = "bnb",
     cache=None,
-    workers: int = 0,
     context_cache=None,
 ) -> list[Solution]:
     """Non-dominated (period, latency) solutions of an instance.
 
     Strategy: find the two extreme solutions (min period; min latency),
-    then sweep period thresholds between them (geometric grid) and solve
-    "min latency s.t. period <= K" at each; dominated points are dropped.
+    then walk a geometric grid of period thresholds K between them from
+    the top down, solving "min latency s.t. period <= K"; dominated
+    points are dropped.  A solve at K returns a point (p, l) with
+    p <= K.  Every smaller threshold that still admits p has the same
+    optimum l, since min-latency-under-period cannot rise as the bound
+    grows (and, a smaller bound only removing candidates from a fixed
+    search order, the same mapping), so the walk skips those thresholds
+    and solves the largest one below p next.  It ends after the smallest
+    threshold, or at the first infeasible one (every smaller threshold is
+    infeasible too).  The result equals a solve at every grid point
+    followed by the same non-domination pass, in one solve per distinct
+    grid answer instead of one per threshold.
+
     Exact for the polynomial variants; uses the exponential exact solvers
     when ``exact_fallback`` is set, searched by ``engine`` (the pruned
     branch-and-bound default reaches well past the flat enumerator's old
-    size limits).  ``cache`` (a :class:`repro.campaign.ResultCache`) and
-    ``workers`` thread through to the campaign runner.
+    size limits).  Each solve is a campaign task keyed exactly like the
+    grid point it stands for, so ``cache`` (a
+    :class:`repro.campaign.ResultCache`) serves repeat or overlapping
+    fronts, including caches filled by a full-grid sweep.
 
-    The sweep is *context-aware*: one
+    The walk is *context-aware*: one
     :class:`~repro.algorithms.solve_context.ContextCache` is built per
     front (or passed in via ``context_cache``) and shared by the extreme
     solves and every threshold point, so the per-instance solver state —
@@ -167,37 +182,39 @@ def pareto_front(
             normalized_instance=normalized,
         )
 
-    # two tasks never amortize a process pool: resolve the extremes
-    # serially, save the fan-out for the threshold sweep below
     extremes = execute_tasks(
         [_task(0, Objective.PERIOD), _task(1, Objective.LATENCY)],
-        cache=cache, workers=0, context_cache=context_cache,
+        cache=cache, context_cache=context_cache,
     )
     for row in extremes:
         if row["status"] != "ok":
             _raise_row_error(row)
     lo, hi = (_solution_from_row(row) for row in extremes)
 
-    thresholds = threshold_grid(lo.period, max(hi.period, lo.period),
+    bounds = [
+        k * (1 + FLOAT_TOL)
+        for k in threshold_grid(lo.period, max(hi.period, lo.period),
                                 num_points)
-
-    sweep = execute_tasks(
-        [
-            _task(i, Objective.LATENCY, period_bound=bound * (1 + FLOAT_TOL))
-            for i, bound in enumerate(thresholds)
-        ],
-        cache=cache, workers=workers, context_cache=context_cache,
-    )
-
-    candidates: list[Solution] = [lo, hi]
-    for row in sweep:
+    ]
+    walked: list[Solution] = []
+    i = len(bounds) - 1
+    while i >= 0:
+        (row,) = execute_tasks(
+            [_task(i, Objective.LATENCY, period_bound=bounds[i])],
+            cache=cache, context_cache=context_cache,
+        )
         if row["status"] != "ok":
             if row.get("error_type") == "InfeasibleProblemError":
-                continue
+                break
             _raise_row_error(row)
-        candidates.append(_solution_from_row(row))
-    # a full non-domination pass over every candidate: filtering against
-    # front[-1] alone is wrong — a later (larger) threshold can admit a
-    # solution with both smaller period and smaller latency than an
-    # earlier point, which must then be evicted from the front
-    return non_dominated(candidates)
+        sol = _solution_from_row(row)
+        walked.append(sol)
+        # thresholds bisect_left(...) and up admit sol.period, so share its
+        # optimum; min() keeps the walk descending even on a cached row
+        # whose period exceeds its own threshold
+        i = min(i, bisect_left(bounds, sol.period)) - 1
+
+    # a full non-domination pass, not a check against the last point: an
+    # extreme can be dominated by a walked point, and a cached row need
+    # not respect the staircase the walk's order assumes
+    return non_dominated([lo, hi, *walked])

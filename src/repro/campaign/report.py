@@ -218,14 +218,13 @@ def pareto_comparison(
     exact_fallback: bool = False,
     engine: str = "bnb",
     cache=None,
-    workers: int = 0,
     title: str = "Pareto fronts",
 ) -> tuple[dict, str]:
     """Period/latency trade-off curves for several instances side by side.
 
     ``instances`` is an iterable of ``(instance_id, ProblemSpec)`` pairs;
-    each front is traced through the campaign runner (sharing ``cache`` and
-    ``workers``), so overlapping comparisons re-use threshold solves.
+    each front is traced through the campaign runner (sharing ``cache``),
+    so overlapping comparisons re-use threshold solves.
     Returns ``(fronts, table)`` with ``fronts[instance_id]`` the list of
     non-dominated :class:`~repro.algorithms.problem.Solution` objects.
     """
@@ -240,7 +239,6 @@ def pareto_comparison(
             exact_fallback=exact_fallback,
             engine=engine,
             cache=cache,
-            workers=workers,
         )
         fronts[iid] = front
         periods = [s.period for s in front]

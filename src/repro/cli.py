@@ -30,7 +30,7 @@ Commands
       re-solving;
     * ``campaign pareto`` — trace (period, latency) Pareto fronts of one
       or more instances (``--file`` / ``--scenario``) through the
-      runner, sharing the cache/workers/engine knobs; ``--out`` writes
+      runner, sharing the cache/engine knobs; ``--out`` writes
       the fronts as a machine-readable JSON artifact;
     * ``campaign cache stats`` / ``campaign cache compact`` — inspect a
       cache, or rewrite it dropping superseded records;
@@ -81,7 +81,7 @@ Examples
         --retry-errors
     python -m repro campaign report --results results.jsonl --baseline exact
     python -m repro campaign pareto --scenario image-pipeline --points 16
-    python -m repro campaign pareto --file instance.json --exact --workers 4 \\
+    python -m repro campaign pareto --file instance.json --exact \\
         --cache-dir .repro-cache --out fronts.json
     python -m repro campaign profile --cache-dir .repro-cache
     python -m repro campaign cache stats --cache-dir .repro-cache
@@ -456,7 +456,6 @@ def _cmd_campaign_pareto(args, out) -> int:
         exact_fallback=args.exact,
         engine=args.engine,
         cache=_open_cache(args),
-        workers=args.workers,
     )
     print(table, file=out)
     for iid, front in fronts.items():
@@ -730,8 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exponential exact fallback for NP-hard cells")
     p_par.add_argument("--engine", choices=ENGINES,
                        default="bnb")
-    p_par.add_argument("--workers", type=int, default=0,
-                       help="process-pool size for the threshold sweep")
     p_par.add_argument("--out", default=None,
                        help="write the fronts as a machine-readable JSON "
                             "artifact (full float precision + mappings)")

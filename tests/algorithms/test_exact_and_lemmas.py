@@ -161,9 +161,9 @@ class TestBruteGuards:
 
     def test_bnb_guard_is_shape_aware(self):
         # pipeline periods reach n = 16; bi-criteria solves and fork
-        # periods keep the engine-wide n, p <= 10 default, pipeline and
-        # fork latency stop earlier (a fork's root and a fork-join's join
-        # count as stages)
+        # periods keep the engine-wide n, p <= 10 default, pipeline, fork
+        # and fork-join latency stop earlier (a fork's root and a
+        # fork-join's join count as stages)
         plat = Platform.homogeneous(10)
         spec = ProblemSpec(PipelineApplication.homogeneous(16), plat, False)
         sol = exact.guarded_optimal(spec, Objective.PERIOD)
@@ -189,8 +189,10 @@ class TestBruteGuards:
         "kind,build,corner",
         [(GraphKind.PIPELINE, PipelineApplication.homogeneous, (9, 8)),
          (GraphKind.FORK, lambda n: ForkApplication.homogeneous(n - 1),
-          (8, 8))],
-        ids=["pipeline", "fork"],
+          (8, 8)),
+         (GraphKind.FORK_JOIN,
+          lambda n: ForkJoinApplication.homogeneous(n - 2), (7, 7))],
+        ids=["pipeline", "fork", "fork-join"],
     )
     def test_bnb_latency_corners_refuse_one_step_past(self, kind, build,
                                                       corner):
