@@ -176,8 +176,9 @@ def _best_of(passes: dict, repeats: int) -> tuple[dict, dict]:
 
     The minimum over repeats is the ``timeit`` convention (least
     noise-contaminated estimate on a shared machine); *interleaving* the
-    passes means drifting background load contaminates every pass
-    equally instead of biasing whichever block ran during the spike.
+    passes (in alternating order) means drifting background load
+    contaminates every pass equally instead of biasing whichever block
+    ran during the spike or always ran first.
     Returns ``(seconds, rows)`` keyed like ``passes`` and asserts every
     repeat of a pass produced the same rows (up to the volatile
     ``timing`` block; the kept rows are the first repeat's, timing
@@ -185,8 +186,10 @@ def _best_of(passes: dict, repeats: int) -> tuple[dict, dict]:
     """
     seconds = {name: float("inf") for name in passes}
     rows: dict = {}
-    for _ in range(repeats):
-        for name, fn in passes.items():
+    order = list(passes.items())
+    for rep in range(repeats):
+        # alternate the pass order so neither side always runs first
+        for name, fn in order if rep % 2 == 0 else order[::-1]:
             gc.collect()                   # level the allocator between reps
             t0 = time.perf_counter()
             got = fn()
@@ -199,7 +202,7 @@ def _best_of(passes: dict, repeats: int) -> tuple[dict, dict]:
 
 
 def run_sweep(n: int, p: int, points: int, engine: str, seed=SEED,
-              repeats: int = 5) -> dict:
+              repeats: int = 15) -> dict:
     """Threshold sweep of one het pipeline: cold vs context-reuse.
 
     Mirrors the ``pareto_front`` hot path through ``runner.solve_task``:
@@ -207,6 +210,9 @@ def run_sweep(n: int, p: int, points: int, engine: str, seed=SEED,
     extremes.  The cold pass solves every point from scratch; the context
     pass shares one :class:`ContextCache` across the sweep (a fresh cache
     per timing repeat, so no repeat rides the previous one's warmth).
+    Each side keeps its best of ``repeats`` interleaved passes; the ratio
+    gates at ``MIN_SWEEP_SPEEDUP``, and best of 5 let host noise alone
+    move the bnb 8 x 7 reading across that floor.
     Rows must be bit-identical — the context is a pure amortization.
     """
     rng = random.Random(seed + 2)

@@ -21,6 +21,15 @@ subtrees with admissible lower bounds:
   mediant generalization of ``Cmax >= total_work / m`` to heterogeneous
   pools, strictly tighter than the single-heaviest-block bound whenever
   two or more blocks remain;
+* **replicated-delay floor** (fork latency): a replicated group's delay
+  is its load over its slowest processor, so at least its load over the
+  fastest processor still available.  A block that cannot be
+  data-parallel — every block without data-parallelism, and a root or
+  join block that holds branches — is bounded by that speed instead of
+  the whole pool's ``S``: the platform's fastest processor while the
+  partition grows, the fastest speed class left while processors are
+  assigned.  A fork's replicated root block is bounded by its own load
+  the same way, and a replicated root pins ``t0 >= w0 / max_speed``;
 * **speed-multiset canonicalization**: two processor subsets with the same
   multiset of speeds yield identical costs, so subsets are enumerated as
   per-speed-class counts (on a homogeneous platform this collapses the
@@ -175,6 +184,13 @@ class _SpeedPool:
             self.total_speed += cnt * self.speeds[c]
 
     # ------------------------------------------------------------------
+    def fastest(self) -> float:
+        """Speed of the fastest remaining processor (0.0 when none is left)."""
+        for c in range(self.classes - 1, -1, -1):
+            if self.avail[c]:
+                return self.speeds[c]
+        return 0.0
+
     def best_repl_capacity(self) -> float:
         """Best ``k * min_speed`` of any subset of the remaining pool.
 
@@ -562,6 +578,7 @@ def _fork_state(spec: ProblemSpec, context: SolveContext) -> dict:
             w_join=works[join_index] if is_forkjoin else 0.0,
             f_join=overheads[join_index] if is_forkjoin else 0.0,
             total_speed=total_speed,
+            max_speed=max_speed,
             total_work=sum(works.values()),
             t0_floor=t0_floor,
             cap_full=cap_full,
@@ -586,8 +603,10 @@ def _solve_fork_like(
     w_join = state["w_join"]
     f_join = state["f_join"]
     total_speed = state["total_speed"]
+    max_speed = state["max_speed"]
     total_work = state["total_work"]
     t0_floor = state["t0_floor"]
+    t0_repl = w0 / max_speed  # t0 of a replicated root
     cap_full = state["cap_full"]
     order = state["order"]
     max_blocks = state["max_blocks"]
@@ -598,6 +617,14 @@ def _solve_fork_like(
     )
     metered = search.meter is not None
     blocks: list[_Block] = []
+
+    def repl_only(b: _Block) -> bool:
+        """The block cannot be data-parallel (nor become so as it grows):
+        its delay is its load over its slowest processor, at least the
+        load over the fastest one."""
+        return not allow_dp or (
+            len(b.stages) > 1 and (b.has_root or b.has_join)
+        )
 
     # ----- Phase B: assign processors to the blocks of a complete partition
     def assign_blocks(partition: list[_Block]) -> None:
@@ -613,6 +640,10 @@ def _solve_fork_like(
         suf_load_max = [0.0] * (q + 1)
         suf_nonroot_sum = [0.0] * (q + 1)
         suf_branch_sum = [0.0] * (q + 1)
+        # the replicated-delay floor: the heaviest delay-relevant load
+        # (fork: non-root load, fork-join: branch load) among the
+        # unassigned blocks that cannot be data-parallel
+        suf_repl_max = [0.0] * (q + 1)
         for i in range(q - 1, -1, -1):
             b = root_first[i]
             suf_load_sum[i] = suf_load_sum[i + 1] + b.load
@@ -621,6 +652,21 @@ def _solve_fork_like(
                 0.0 if b.has_root else b.load
             )
             suf_branch_sum[i] = suf_branch_sum[i + 1] + b.branch_load
+            relevant = b.branch_load if is_forkjoin else (
+                0.0 if b.has_root else b.load
+            )
+            suf_repl_max[i] = (
+                max(suf_repl_max[i + 1], relevant)
+                if repl_only(b) else suf_repl_max[i + 1]
+            )
+        root_repl = repl_only(root_first[0])
+        # a fork's replicated root delays by its whole load
+        root_repl_load = (
+            root_first[0].load if root_repl and not is_forkjoin else 0.0
+        )
+        join_repl = is_forkjoin and any(
+            b.has_join and repl_only(b) for b in root_first
+        )
         chosen: list[tuple] = []
 
         def score_children(
@@ -779,27 +825,47 @@ def _solve_fork_like(
                 else suf_load_max[i] / max(pool.best_repl_capacity(), rem_speed),
                 suf_load_sum[i] / rem_speed,
             )
-            if is_forkjoin:
-                join_floor = join_time if join_time >= 0.0 else w_join / rem_speed
-                # max completion >= t0 + sum of remaining branch loads / S
-                # (mediant bound: disjoint groups' speed denominators total
-                # at most S), which dominates the single-heaviest bound
-                lb_latency = (
-                    max(done_max, t0 + suf_branch_sum[i] / rem_speed)
-                    + join_floor
-                )
-            else:
-                partial = (
-                    root_delay
-                    if other_max == -_INF
-                    else max(root_delay, t0 + other_max)
-                )
-                lb_latency = max(
-                    partial, t0 + suf_nonroot_sum[i] / rem_speed
-                    if suf_nonroot_sum[i] > 0.0
-                    else partial,
-                )
-            if search.cut(lb_period, lb_latency if latency_objective else 0.0):
+            lb_latency = 0.0
+            if latency_objective:
+                # a replicated block runs at most at the fastest speed left
+                fastest = pool.fastest()
+                if is_forkjoin:
+                    if join_time >= 0.0:
+                        join_floor = join_time
+                    else:
+                        join_floor = w_join / (
+                            fastest if join_repl else rem_speed
+                        )
+                    # max completion >= t0 + sum of remaining branch loads
+                    # / S (mediant bound: disjoint groups' speed
+                    # denominators total at most S), which dominates the
+                    # single-heaviest bound
+                    lb_latency = (
+                        max(
+                            done_max,
+                            t0 + suf_branch_sum[i] / rem_speed,
+                            t0 + suf_repl_max[i] / fastest,
+                        )
+                        + join_floor
+                    )
+                else:
+                    partial = (
+                        root_delay
+                        if other_max == -_INF
+                        else max(root_delay, t0 + other_max)
+                    )
+                    lb_latency = max(
+                        partial,
+                        t0 + suf_nonroot_sum[i] / rem_speed
+                        if suf_nonroot_sum[i] > 0.0
+                        else partial,
+                        t0 + suf_repl_max[i] / fastest
+                        if suf_repl_max[i] > 0.0
+                        else partial,
+                    )
+                    if i == 0 and root_repl_load:
+                        lb_latency = max(lb_latency, root_repl_load / fastest)
+            if search.cut(lb_period, lb_latency):
                 search.pruned += 1
                 return
             if i == q - 1:
@@ -823,7 +889,7 @@ def _solve_fork_like(
 
         # the root block is assigned first, so t0/root_delay are pinned at
         # i = 1; before that they carry harmless optimistic floors
-        rec(0, 0.0, t0_floor, 0.0, -_INF, 0.0, -1.0)
+        rec(0, 0.0, t0_repl if root_repl else t0_floor, 0.0, -_INF, 0.0, -1.0)
 
     # ----- Phase A: enumerate stage partitions (restricted growth)
     def grow(idx: int) -> None:
@@ -836,15 +902,33 @@ def _solve_fork_like(
         # bounds from partial block loads (loads only grow)
         max_load = max((b.load for b in blocks), default=0.0)
         lb_period = max(max_load / cap_full, total_work / total_speed)
-        if is_forkjoin:
-            max_branch = max((b.branch_load for b in blocks), default=0.0)
-            lb_latency = t0_floor + max_branch / total_speed + w_join / total_speed
-        else:
-            max_nonroot = max(
-                (b.load for b in blocks if not b.has_root), default=0.0
-            )
-            lb_latency = t0_floor + max_nonroot / total_speed
-        if search.cut(lb_period, lb_latency if latency_objective else 0.0):
+        lb_latency = 0.0
+        if latency_objective:
+            # delay floors per block: load / S when the block may still be
+            # data-parallel, load / max_speed when it must be replicated
+            t0 = t0_floor
+            root_floor = dp_top = repl_top = 0.0
+            join_speed = max_speed if not allow_dp else total_speed
+            for b in blocks:
+                repl = repl_only(b)
+                if b.has_root and repl:
+                    t0 = t0_repl
+                    root_floor = b.load / max_speed
+                if b.has_join and repl:
+                    join_speed = max_speed
+                load = b.branch_load if is_forkjoin else (
+                    0.0 if b.has_root else b.load
+                )
+                if repl:
+                    repl_top = max(repl_top, load)
+                else:
+                    dp_top = max(dp_top, load)
+            delay = max(dp_top / total_speed, repl_top / max_speed)
+            if is_forkjoin:
+                lb_latency = t0 + delay + w_join / join_speed
+            else:
+                lb_latency = max(root_floor, t0 + delay)
+        if search.cut(lb_period, lb_latency):
             search.pruned += 1
             return
         s = order[idx]
@@ -899,10 +983,12 @@ def root_lower_bound(spec: ProblemSpec, objective: Objective) -> float:
     The same admissible bounds the engines apply at their root node,
     evaluated in closed form: disjoint groups' speed denominators total
     at most the platform speed ``S``, so any mapping has period and
-    total-delay at least ``total_work / S``; a fork root stage runs on
-    at most ``max_speed`` (``S`` with data-parallelism), and a fork-join
-    adds the join stage's floor.  Valid for the bi-criteria problems too
-    (thresholds only shrink the feasible set).
+    total-delay at least ``total_work / S``.  A fork's root stage, its
+    heaviest branch and a fork-join's join stage each run on at most
+    ``max_speed`` (``S`` with data-parallelism, through a data-parallel
+    group); the heaviest branch finishes after the root, and the join
+    starts after it.  Valid for the bi-criteria problems too (thresholds
+    only shrink the feasible set).
     """
     app, platform = spec.application, spec.platform
     total_speed = platform.total_speed
@@ -910,12 +996,14 @@ def root_lower_bound(spec: ProblemSpec, objective: Objective) -> float:
         works = {stage.index: stage.work for stage in app.all_stages}
         if objective is Objective.PERIOD:
             return sum(works.values()) / total_speed
-        t0_floor = works[0] / (
+        speed = (
             total_speed if spec.allow_data_parallel else platform.fastest.speed
         )
+        heaviest = max(branch.work for branch in app.branches)
+        bound = works[0] / speed + heaviest / speed
         if isinstance(app, ForkJoinApplication):
-            return t0_floor + works[app.n + 1] / total_speed
-        return t0_floor
+            return bound + works[app.n + 1] / speed
+        return bound
     return sum(stage.work for stage in app.stages) / total_speed
 
 

@@ -17,10 +17,15 @@ processor), so feasibility under a period bound ``K`` and latency bound
 
 Maximizing the branch count handled by each side of the root block is a
 prefix (resp. suffix) DP; the instance is feasible when some choice of the
-root block reaches ``n`` branches in total.  The optimum is found by an
-exact binary search over the finite candidate sets of achievable group
-periods / latencies (see :mod:`repro.algorithms.search`), replacing the
-paper's epsilon binary search.
+root block reaches ``n`` branches in total.  The tables depend on the
+bounds only through the plain-block capacities, so one solve builds each
+prefix/suffix pair once per distinct capacity table and reuses it across
+root positions (one pair per feasibility test on a period solve, where
+every root shares ``L = inf``) and across binary-search steps.  The
+optimum is found by an exact binary search over the finite candidate
+sets of achievable group periods / latencies (see
+:mod:`repro.algorithms.search`), replacing the paper's epsilon binary
+search.
 
 Heterogeneous forks are NP-hard on heterogeneous platforms for both
 objectives (Theorem 15); use :mod:`repro.algorithms.exact`.
@@ -37,7 +42,12 @@ from ..core.exceptions import (
 from ..core.mapping import AssignmentKind, ForkMapping, GroupAssignment
 from ..core.platform import Platform
 from .problem import Objective, Solution
-from .search import floor_div_tol, smallest_feasible, unique_sorted
+from .search import (
+    block_capacities,
+    floor_div_tol,
+    smallest_feasible,
+    unique_sorted,
+)
 
 __all__ = [
     "min_period_homogeneous",
@@ -61,7 +71,11 @@ def _require_homogeneous_fork(app: ForkApplication) -> tuple[float, float]:
 
 
 class _Engine:
-    """Feasibility tester / reconstructor for one (application, platform)."""
+    """Feasibility tester / reconstructor for one (application, platform).
+
+    One engine serves one solve; it memoizes the prefix/suffix tables by
+    ``(K, L0)`` and then by the capacity table they depend on.
+    """
 
     def __init__(self, app: ForkApplication, platform: Platform) -> None:
         self.app = app
@@ -71,22 +85,10 @@ class _Engine:
         self.speeds = [proc.speed for proc in self.order]
         self.n = app.n
         self.p = platform.p
+        self._by_bounds: dict[tuple[float, float], tuple] = {}
+        self._by_caps: dict[tuple, tuple] = {}
 
     # -- block capacities ------------------------------------------------
-    def _cap_other(self, i: int, k: int, K: float, L0: float) -> int:
-        """Max branches of a non-root block starting at sorted position ``i``
-        with ``k`` processors, under period K and start-adjusted latency L0."""
-        limit = INF
-        if K != INF:
-            limit = K * k * self.speeds[i]
-        if L0 != INF:
-            limit = min(limit, L0 * self.speeds[i])
-        if limit == INF:
-            return self.n
-        if limit < -FLOAT_TOL:
-            return 0
-        return min(self.n, max(0, floor_div_tol(limit, self.w)))
-
     def _cap_root(self, i0: int, k0: int, K: float, L: float) -> int | None:
         """Max branches of the root block, or None when even ``m0 = 0`` fails."""
         limit = INF
@@ -102,7 +104,20 @@ class _Engine:
         return min(self.n, max(0, floor_div_tol(slack, self.w)))
 
     # -- prefix/suffix DPs ------------------------------------------------
-    def _prefix(self, K: float, L0: float) -> tuple[list[int], list[int]]:
+    def _tables(self, K: float, L0: float):
+        """``(caps, prefix tables, suffix tables)`` under ``(K, L0)``."""
+        got = self._by_bounds.get((K, L0))
+        if got is None:
+            caps = block_capacities(self.speeds, self.n, self.w, K, L0)
+            got = self._by_caps.get(caps)
+            if got is None:
+                got = self._by_caps[caps] = (
+                    caps, self._prefix(caps), self._suffix(caps)
+                )
+            self._by_bounds[(K, L0)] = got
+        return got
+
+    def _prefix(self, caps) -> tuple[list[int], list[int]]:
         """``F[j]`` = max branches over non-root blocks covering ``0..j-1``."""
         p = self.p
         F = [0] * (p + 1)
@@ -110,21 +125,22 @@ class _Engine:
         for j in range(1, p + 1):
             best, arg = -1, 0
             for i in range(j):
-                value = F[i] + self._cap_other(i, j - i, K, L0)
+                value = F[i] + caps[i][j - i - 1]
                 if value > best:
                     best, arg = value, i
             F[j], split[j] = best, arg
         return F, split
 
-    def _suffix(self, K: float, L0: float) -> tuple[list[int], list[int]]:
+    def _suffix(self, caps) -> tuple[list[int], list[int]]:
         """``S[j]`` = max branches over non-root blocks covering ``j..p-1``."""
         p = self.p
         S = [0] * (p + 2)
         split = [0] * (p + 2)
         for j in range(p - 1, -1, -1):
             best, arg = -1, p - 1
+            row = caps[j]
             for e in range(j, p):
-                value = self._cap_other(j, e - j + 1, K, L0) + S[e + 2 - 1]
+                value = row[e - j] + S[e + 1]
                 if value > best:
                     best, arg = value, e
             S[j], split[j] = best, arg
@@ -135,18 +151,17 @@ class _Engine:
         return self._search(K, L) is not None
 
     def _search(self, K: float, L: float):
-        """Return ``(i0, j0, prefix tables, suffix tables, L0)`` or None."""
+        """Return ``(i0, j0, caps, prefix tables, suffix tables)`` or None."""
         for i0 in range(self.p):
             t0 = self.w0 / self.speeds[i0]
             L0 = INF if L == INF else L - t0
-            F, fsplit = self._prefix(K, L0)
-            S, ssplit = self._suffix(K, L0)
+            caps, (F, fsplit), (S, ssplit) = self._tables(K, L0)
             for j0 in range(i0, self.p):
                 cap0 = self._cap_root(i0, j0 - i0 + 1, K, L)
                 if cap0 is None:
                     continue
                 if F[i0] + cap0 + S[j0 + 1] >= self.n:
-                    return i0, j0, (F, fsplit), (S, ssplit), K, L0
+                    return i0, j0, caps, (F, fsplit), (S, ssplit)
         return None
 
     # -- reconstruction ----------------------------------------------------
@@ -156,14 +171,14 @@ class _Engine:
             raise InfeasibleProblemError(
                 f"no mapping achieves period <= {K} and latency <= {L}"
             )
-        i0, j0, (F, fsplit), (S, ssplit), K, L0 = found
+        i0, j0, caps, (F, fsplit), (S, ssplit) = found
 
         # blocks as (start, end, capacity, is_root)
         blocks: list[tuple[int, int, int, bool]] = []
         j = i0
         while j > 0:
             i = fsplit[j]
-            blocks.append((i, j - 1, self._cap_other(i, j - i, K, L0), False))
+            blocks.append((i, j - 1, caps[i][j - i - 1], False))
             j = i
         root_cap = self._cap_root(i0, j0 - i0 + 1, K, L)
         assert root_cap is not None
@@ -171,7 +186,7 @@ class _Engine:
         j = j0 + 1
         while j < self.p:
             e = ssplit[j]
-            blocks.append((j, e, self._cap_other(j, e - j + 1, K, L0), False))
+            blocks.append((j, e, caps[j][e - j], False))
             j = e + 1
 
         # distribute the n branches greedily (identical branches: any split
@@ -241,8 +256,10 @@ def solve_homogeneous(
     """Theorem 14: optimal mapping of a homogeneous fork, all objectives.
 
     Mono-criterion problems leave the other bound ``None``; bi-criteria
-    problems provide it.  Complexity: ``O(n p^2)`` candidates, each
-    feasibility test ``O(p^3)``.
+    problems provide it.  Complexity: ``O(n p^2)`` candidates, hence
+    ``O(log(n p))`` feasibility tests, each ``O(p^3)``: ``p`` root
+    positions with ``O(p^2)`` capacity work each, plus the ``O(p^2)``
+    prefix/suffix DPs of every distinct capacity table.
     """
     engine = _Engine(app, platform)
     K = INF if period_bound is None else period_bound * (1 + FLOAT_TOL)

@@ -10,7 +10,12 @@
 * :func:`solve_het_platform` — homogeneous fork-join on a heterogeneous
   platform without data-parallelism: the Theorem 14 block DP gains a second
   special block for the join stage (one more loop, ``O(p)`` extra as in the
-  paper's ``O(p^6)`` bound).
+  paper's ``O(p^6)`` bound).  A feasibility test tries ``O(p^2)`` root/join
+  placements at ``O(p^2)`` each, plus ``O(p^3)`` per plain-block interval
+  table it needs.  The solve builds each table once per distinct capacity
+  table and reuses it across placements and binary-search steps: one
+  table per test on a period solve, at most ``O(p^2)`` under a latency
+  bound.
 
 Latency model (see :func:`repro.core.costs.forkjoin_latency`): all branch
 stages must complete before the join work starts; the join group first
@@ -36,7 +41,13 @@ from ..core.exceptions import (
 from ..core.mapping import AssignmentKind, ForkJoinMapping, GroupAssignment
 from ..core.platform import Platform
 from .problem import Objective, Solution
-from .search import ceil_div_tol, floor_div_tol, smallest_feasible, unique_sorted
+from .search import (
+    block_capacities,
+    ceil_div_tol,
+    floor_div_tol,
+    smallest_feasible,
+    unique_sorted,
+)
 
 __all__ = [
     "min_period_hom_platform",
@@ -344,6 +355,13 @@ class _HetEngine:
     Processors are sorted by non-decreasing speed; groups are consecutive
     blocks (Lemma 4 extended as the paper sketches in Section 6.3).  The two
     special blocks may coincide (root and join in one group).
+
+    One engine serves one solve.  It memoizes the plain-block interval
+    tables by ``(K, budget)`` and then by the capacity table they depend
+    on, so the ``p + p (p - 1)`` root/join placements of a feasibility
+    test share one table whenever their budgets agree (always on period
+    solves, where every budget is infinite), and so do the binary-search
+    steps whose bounds leave the capacities unchanged.
     """
 
     def __init__(self, app: ForkJoinApplication, platform: Platform) -> None:
@@ -352,6 +370,8 @@ class _HetEngine:
         self.order = platform.sorted_by_speed(descending=False)
         self.speeds = [proc.speed for proc in self.order]
         self.n, self.p = app.n, platform.p
+        self._by_bounds: dict[tuple[float, float], tuple] = {}
+        self._by_caps: dict[tuple, tuple] = {}
 
     # -- capacities --------------------------------------------------------
     def _cap_from_limit(self, limit: float) -> int:
@@ -360,16 +380,6 @@ class _HetEngine:
         if limit < -FLOAT_TOL:
             return -1
         return min(self.n, max(0, floor_div_tol(limit, self.w)))
-
-    def _cap_other(self, i: int, k: int, K: float, budget: float) -> int:
-        """Branch capacity of a plain block; ``budget`` = L' - t0."""
-        limit = INF
-        if K != INF:
-            limit = K * k * self.speeds[i]
-        if budget != INF:
-            limit = min(limit, budget * self.speeds[i])
-        cap = self._cap_from_limit(limit)
-        return max(cap, 0)
 
     def _cap_root(self, i: int, k: int, K: float, Lp: float) -> int:
         """Root-only block: period (w0+mw)/(k s) <= K, done (w0+mw)/s <= L'."""
@@ -399,55 +409,58 @@ class _HetEngine:
         return self._cap_from_limit(limit)
 
     # -- interval DP over plain blocks --------------------------------------
-    def _interval_table(self, K: float, budget: float):
+    def _tables(self, K: float, budget: float):
+        """``(caps, M, split)`` for plain blocks under ``(K, budget)``."""
+        got = self._by_bounds.get((K, budget))
+        if got is None:
+            caps = block_capacities(self.speeds, self.n, self.w, K, budget)
+            got = self._by_caps.get(caps)
+            if got is None:
+                got = self._by_caps[caps] = (caps, *self._interval_table(caps))
+            self._by_bounds[(K, budget)] = got
+        return got
+
+    def _interval_table(self, caps):
         """``M[a][b]`` = max branches over procs ``a..b`` in plain blocks
         (with the usual split trick this is an O(p^3) prefix-style DP)."""
         p = self.p
         M = [[0] * (p + 1) for _ in range(p + 2)]
         split = [[-1] * (p + 1) for _ in range(p + 2)]
         for a in range(p - 1, -1, -1):
+            row = caps[a]
             for b in range(a, p):
                 best, arg = -1, a
                 for e in range(a, b + 1):
-                    value = self._cap_other(a, e - a + 1, K, budget) + (
-                        M[e + 1][b] if e + 1 <= b else 0
-                    )
+                    value = row[e - a] + (M[e + 1][b] if e + 1 <= b else 0)
                     if value > best:
                         best, arg = value, e
                 M[a][b] = best
                 split[a][b] = arg
         return M, split
 
-    def _segment(self, M, a: int, b: int) -> int:
-        if a > b:
-            return 0
-        return M[a][b]
-
     # -- search --------------------------------------------------------------
     def _search(self, K: float, L: float):
         """Find a feasible block layout; returns a description or ``None``."""
         p, n = self.p, self.n
+
+        def segment(M, a: int, b: int) -> int:
+            return M[a][b] if a <= b else 0
+
         # combined root+join block
         for i in range(p):
             Lp = INF if L == INF else L - self.wj / self.speeds[i]
             t0 = self.w0 / self.speeds[i]
             budget = INF if Lp == INF else Lp - t0
-            M, split = self._interval_table(K, budget)
+            caps, M, split = self._tables(K, budget)
             for j in range(i, p):
                 cap = self._cap_rootjoin(i, j - i + 1, K, Lp)
                 if cap < 0:
                     continue
-                if (
-                    self._segment(M, 0, i - 1)
-                    + cap
-                    + self._segment(M, j + 1, p - 1)
-                    >= n
-                ):
+                if segment(M, 0, i - 1) + cap + segment(M, j + 1, p - 1) >= n:
                     return {
                         "combined": (i, j, cap),
                         "segments": [(0, i - 1), (j + 1, p - 1)],
-                        "tables": (M, split),
-                        "K": K, "budget": budget, "Lp": Lp, "t0": t0,
+                        "tables": (caps, split),
                     }
         # separate blocks, both orders on the speed line
         for i0 in range(p):
@@ -457,30 +470,35 @@ class _HetEngine:
                     continue
                 Lp = INF if L == INF else L - self.wj / self.speeds[ij]
                 budget = INF if Lp == INF else Lp - t0
-                M, split = self._interval_table(K, budget)
+                caps, M, split = self._tables(K, budget)
                 lo, hi = min(i0, ij), max(i0, ij)
+                # the root and join capacities per block end, in one loop
+                # each: the lower block ends in [lo, hi), the upper in [hi, p)
+                root = [
+                    self._cap_root(i0, e - i0 + 1, K, Lp)
+                    for e in range(i0, hi if i0 < ij else p)
+                ]
+                join = [
+                    self._cap_join(ij, e - ij + 1, K, Lp, t0)
+                    for e in range(ij, hi if ij < i0 else p)
+                ]
+                head = segment(M, 0, lo - 1)
                 for j_lo in range(lo, hi):
                     for j_hi in range(hi, p):
                         if i0 < ij:
                             root_span, join_span = (i0, j_lo), (ij, j_hi)
                         else:
                             join_span, root_span = (ij, j_lo), (i0, j_hi)
-                        if root_span[0] > root_span[1] or join_span[0] > join_span[1]:
-                            continue
-                        cap0 = self._cap_root(
-                            root_span[0], root_span[1] - root_span[0] + 1, K, Lp
-                        )
-                        capj = self._cap_join(
-                            join_span[0], join_span[1] - join_span[0] + 1, K, Lp, t0
-                        )
+                        cap0 = root[root_span[1] - i0]
+                        capj = join[join_span[1] - ij]
                         if cap0 < 0 or capj < 0:
                             continue
                         total = (
-                            self._segment(M, 0, lo - 1)
+                            head
                             + cap0
                             + capj
-                            + self._segment(M, j_lo + 1, hi - 1)
-                            + self._segment(M, j_hi + 1, p - 1)
+                            + segment(M, j_lo + 1, hi - 1)
+                            + segment(M, j_hi + 1, p - 1)
                         )
                         if total >= n:
                             return {
@@ -491,8 +509,7 @@ class _HetEngine:
                                     (j_lo + 1, hi - 1),
                                     (j_hi + 1, p - 1),
                                 ],
-                                "tables": (M, split),
-                                "K": K, "budget": budget, "Lp": Lp, "t0": t0,
+                                "tables": (caps, split),
                             }
         return None
 
@@ -506,7 +523,7 @@ class _HetEngine:
             raise InfeasibleProblemError(
                 f"no mapping achieves period <= {K} and latency <= {L}"
             )
-        M, split = found["tables"]
+        caps, split = found["tables"]
         blocks: list[tuple[int, int, int, str]] = []
         if "combined" in found:
             i, j, cap = found["combined"]
@@ -514,14 +531,11 @@ class _HetEngine:
         else:
             blocks.append((*found["root"], "root"))
             blocks.append((*found["join"], "join"))
-        budget, K_ = found["budget"], found["K"]
         for a, b in found["segments"]:
             pos = a
             while pos <= b:
                 e = split[pos][b]
-                blocks.append(
-                    (pos, e, self._cap_other(pos, e - pos + 1, K_, budget), "plain")
-                )
+                blocks.append((pos, e, caps[pos][e - pos], "plain"))
                 pos = e + 1
 
         # special blocks first so they always receive their stages
@@ -574,16 +588,22 @@ class _HetEngine:
         return unique_sorted(values)
 
     def latency_candidates(self):
-        values = []
-        for i0 in range(self.p):
-            t0 = self.w0 / self.speeds[i0]
-            for ij in range(self.p):
-                tj = self.wj / self.speeds[ij]
-                for m in range(self.n + 1):
-                    values.append((self.w0 + m * self.w) / self.speeds[i0] + tj)
-                    for i in range(self.p):
-                        if m:
-                            values.append(t0 + m * self.w / self.speeds[i] + tj)
+        # candidates depend on speed values only, so loop over distinct ones
+        speeds = set(self.speeds)
+        w0, w, wj = self.w0, self.w, self.wj
+        values = set()
+        for s0 in speeds:
+            t0 = w0 / s0
+            for sj in speeds:
+                tj = wj / sj
+                values.update(
+                    (w0 + m * w) / s0 + tj for m in range(self.n + 1)
+                )
+                values.update(
+                    t0 + m * w / s + tj
+                    for m in range(1, self.n + 1)
+                    for s in speeds
+                )
         return unique_sorted(values)
 
 

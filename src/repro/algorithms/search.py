@@ -16,7 +16,15 @@ from collections.abc import Callable, Iterable
 from ..core.costs import FLOAT_TOL
 from ..core.exceptions import InfeasibleProblemError
 
-__all__ = ["unique_sorted", "smallest_feasible", "ceil_div_tol", "floor_div_tol"]
+INF = float("inf")
+
+__all__ = [
+    "unique_sorted",
+    "smallest_feasible",
+    "ceil_div_tol",
+    "floor_div_tol",
+    "block_capacities",
+]
 
 
 def unique_sorted(values: Iterable[float]) -> list[float]:
@@ -74,3 +82,36 @@ def floor_div_tol(x: float, y: float) -> int:
     if (r + 1) - q <= FLOAT_TOL * max(1.0, abs(q)):
         return r + 1
     return r
+
+
+def block_capacities(
+    speeds: list[float], n: int, w: float, K: float, budget: float
+) -> tuple[tuple[int, ...], ...]:
+    """Branch capacities of plain blocks on a speed-sorted processor line.
+
+    ``caps[a][k - 1]`` is the largest ``m <= n`` with period
+    ``m w / (k s_a) <= K`` and delay ``m w / s_a <= budget`` for the block
+    of ``k`` processors starting at position ``a`` (``s_a`` its slowest
+    speed), and 0 when not even one branch fits.  The Theorem 14 fork and
+    fork-join DPs depend on ``(K, budget)`` only through this table, so
+    it doubles as their memo key.
+    """
+
+    def cap(limit: float) -> int:
+        if limit == INF:
+            return n
+        if limit < -FLOAT_TOL:
+            return 0
+        return min(n, max(0, floor_div_tol(limit, w)))
+
+    p = len(speeds)
+    rows = []
+    for a, s in enumerate(speeds):
+        lat = INF if budget == INF else budget * s
+        if K == INF:  # no period bound: the block size does not matter
+            rows.append((cap(lat),) * (p - a))
+        else:
+            rows.append(tuple(
+                cap(min(K * k * s, lat)) for k in range(1, p - a + 1)
+            ))
+    return tuple(rows)

@@ -212,6 +212,32 @@ def test_engine_matches_enumeration(engine, homogeneous, seed, builder):
         _check_instance(engine, builder(rng, homogeneous), rng)
 
 
+@pytest.mark.parametrize("homogeneous", [False, True], ids=["het", "hom"])
+@pytest.mark.parametrize(
+    "seed,builder",
+    [
+        (20260726, _random_pipeline_spec),
+        (20260727, _random_fork_spec),
+        (20260728, _random_forkjoin_spec),
+    ],
+    ids=["pipeline", "fork", "forkjoin"],
+)
+def test_root_lower_bound_never_exceeds_the_optimum(
+    homogeneous, seed, builder
+):
+    """The bound a budgeted solve reports as proven is a true lower bound."""
+    rng = random.Random(seed + (1000 if homogeneous else 0))
+    for _ in range(TRIALS):
+        spec = builder(rng, homogeneous)
+        for objective in (Objective.PERIOD, Objective.LATENCY):
+            best = bnb.optimal(spec, objective).objective_value(objective)
+            bound = bnb.root_lower_bound(spec, objective)
+            assert bound <= best * (1 + FLOAT_TOL), (
+                f"{objective} bound {bound} > optimum {best} on "
+                f"{spec.describe()}"
+            )
+
+
 def test_bnb_solution_is_valid_and_consistent():
     """The returned Solution re-evaluates to its reported metrics."""
     rng = random.Random(5)

@@ -16,7 +16,13 @@ from repro.algorithms.budget import (
 from repro.algorithms.problem import Objective, ProblemSpec
 from repro.algorithms.registry import solve
 from repro.algorithms.solve_context import SolveContext
-from repro.core import FLOAT_TOL, PipelineApplication, Platform
+from repro.core import (
+    FLOAT_TOL,
+    ForkApplication,
+    ForkJoinApplication,
+    PipelineApplication,
+    Platform,
+)
 from repro.core.exceptions import ReproError
 
 
@@ -163,6 +169,41 @@ def test_bounded_budget_lifts_exact_size_guard():
         HARD, Objective.PERIOD, budget=Budget(max_nodes=2_000)
     )
     assert solution.meta["status"] == "budget_exhausted"
+
+
+#: Latency without data-parallelism: every block is replicated, so the
+#: fork engine bounds each block's delay by the fastest processor left.
+FORK_10x8_HOM = ProblemSpec(
+    ForkApplication.from_works(4, [16, 12, 7, 11, 19, 1, 17, 20, 9, 14]),
+    Platform.homogeneous(8),
+    allow_data_parallel=False,
+)
+FORKJOIN_8x8_HET = ProblemSpec(
+    ForkJoinApplication.from_works(4, [16, 12, 7, 11, 19, 1, 17, 20], 10),
+    Platform.heterogeneous([6, 8, 2, 5, 7, 4, 8, 5]),
+    allow_data_parallel=False,
+)
+
+
+def test_replicated_delay_floor_closes_hom_fork_without_dp():
+    sol = bnb_optimal(
+        FORK_10x8_HOM, Objective.LATENCY, budget=Budget(max_nodes=200_000)
+    )
+    assert sol.meta["status"] == "optimal"
+    pcmax = exact.fork_latency_exact_hom_platform(
+        FORK_10x8_HOM.application, FORK_10x8_HOM.platform
+    )
+    assert sol.latency == pytest.approx(pcmax.latency)
+
+
+def test_replicated_delay_floor_closes_het_forkjoin_without_dp():
+    sol = bnb_optimal(
+        FORKJOIN_8x8_HET, Objective.LATENCY, budget=Budget(max_nodes=200_000)
+    )
+    assert sol.meta["status"] == "optimal"
+    assert sol.latency == pytest.approx(53 / 12)
+    bound = root_lower_bound(FORKJOIN_8x8_HET, Objective.LATENCY)
+    assert 4.0 < bound <= sol.latency
 
 
 def test_registry_solve_threads_budget_through_exact_fallback():
