@@ -1,36 +1,34 @@
 #!/usr/bin/env python
-"""Perf-trajectory regression gate over the committed ``BENCH_*.json``.
+"""Perf-trajectory regression gate over the committed ``BENCH_exact.json``.
 
-The repository commits its measured performance trajectories so every
-PR leaves an auditable perf record.  This script gates two of them —
-``BENCH_exact.json`` and ``BENCH_campaign.json`` (``BENCH_service.json``
-is recorded but not gated: its request latencies are floored by the
-loopback HTTP round-trip, see PERFORMANCE.md).  The *recorded* numbers
+The repository commits the exact engines' measured trajectory so every
+PR leaves an auditable record of their reach.  The *recorded* numbers
 must clear the floors future PRs may not regress:
 
-* the matrix section of ``BENCH_exact.json`` — branch-and-bound must
-  stay >= 10x faster than flat enumeration at every measured size, and
-  every entry must carry the search-effort counters (``bnb_nodes`` /
-  ``bnb_pruned``) the instrumented engines now report — together these
-  gate that per-solve instrumentation stays free on the hot path (the
-  counters are read post-solve from state the search already kept);
-* the sweep section of ``BENCH_exact.json`` — context-reuse must stay
-  >= 2x faster than cold per-point solves (and the sweep rows must have
-  been verified bit-identical when the file was generated), with
-  search-effort totals present in every entry;
-* the front section of ``BENCH_exact.json`` — ``analysis.pareto_front``
-  (a descending walk over the threshold grid) must have returned the
-  same front as a solve at every grid point, in no more tasks;
-* the budget section of ``BENCH_exact.json`` — the anytime contract:
-  incumbents were verified monotone in the node budget and sound
-  against their lower bounds, every recorded gap is finite, and the
-  gap at the largest budget is no worse than at the smallest;
-* the campaign warm-cache hit fraction of ``BENCH_campaign.json`` —
-  a repeat campaign must stay >= 95% cache hits.
+* the matrix section — branch-and-bound must stay >= 10x faster than
+  flat enumeration at every measured size, and every entry must carry
+  the search-effort counters (``bnb_nodes`` / ``bnb_pruned``) the
+  instrumented engines now report — together these gate that per-solve
+  instrumentation stays free on the hot path (the counters are read
+  post-solve from state the search already kept);
+* the sweep section — context-reuse must stay >= 2x faster than cold
+  per-point solves (and the sweep rows must have been verified
+  bit-identical when the file was generated), with search-effort totals
+  present in every entry;
+* the front section — ``analysis.pareto_front`` (a descending walk over
+  the threshold grid) must have returned the same front as a solve at
+  every grid point, in no more tasks;
+* the budget section — the anytime contract: incumbents were verified
+  monotone in the node budget and sound against their lower bounds,
+  every recorded gap is finite, and the gap at the largest budget is no
+  worse than at the smallest;
+* the milp section — the MILP engine closes instances past the
+  combinatorial guard, at least one of them with n >= 14 at gap 0.
 
 Thresholds are the honest single-core ones (see the ROADMAP note): both
-ratios are CPU-bound and hold on the 1-CPU reference container —
-multi-core fan-out numbers are deliberately *not* gated here.
+ratios are CPU-bound and hold on the 1-CPU reference container.
+End-to-end throughput and latency of the campaign runner and the solver
+service are measured by ``perfbench/``, not here.
 
 Usage::
 
@@ -48,7 +46,6 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Floors for the committed trajectory (single-core honest, see module doc).
 MIN_MATRIX_SPEEDUP = 10.0
 MIN_SWEEP_SPEEDUP = 2.0
-MIN_WARM_HIT_FRACTION = 0.95
 #: The MILP engine must keep closing instances past the combinatorial
 #: guard (frontier strictly beyond n=10) and hold the ISSUE 10 acceptance
 #: floor: at least one n >= 14 instance closed exactly (gap 0).
@@ -218,23 +215,8 @@ def check_budget(path: Path, doc: dict) -> list[str]:
     return lines
 
 
-def check_campaign(path: Path) -> list[str]:
-    doc = json.loads(path.read_text())
-    fraction = doc.get("cache_hit_fraction")
-    if fraction is None:
-        _fail(f"{path.name} lacks cache_hit_fraction")
-    if fraction < MIN_WARM_HIT_FRACTION:
-        _fail(f"campaign warm-cache hit fraction {fraction} fell below "
-              f"{MIN_WARM_HIT_FRACTION}")
-    if not doc.get("rows_identical", True):
-        _fail("campaign serial/parallel rows diverged")
-    return [f"  campaign warm-cache hit fraction: {fraction} "
-            f"(>= {MIN_WARM_HIT_FRACTION})"]
-
-
 def main() -> int:
     lines = check_exact(ROOT / "BENCH_exact.json")
-    lines += check_campaign(ROOT / "BENCH_campaign.json")
     print("perf trajectory OK:")
     print("\n".join(lines))
     return 0

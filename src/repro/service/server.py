@@ -350,7 +350,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_bytes(self, status: int, body: bytes,
                     content_type: str) -> None:
-        self._last_status = status
+        self._record(status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -390,20 +390,29 @@ class _Handler(BaseHTTPRequestHandler):
             return "/v1/cache"
         return path if path in self._ENDPOINTS else "other"
 
-    def _timed(self, body) -> None:
-        """Run one request body, observing latency + endpoint/code counts."""
+    def _record(self, status: int) -> None:
+        """Observe this request's latency and endpoint/code count, once.
+
+        Called as the status is known and before any byte of the reply
+        goes out, so a scrape sent right after a reply always sees it.
+        """
+        t0 = self._t0
+        if t0 is None:
+            return
+        self._t0 = None
         service = self.service
-        endpoint = self._endpoint()
-        self._last_status = 0
-        t0 = time.perf_counter()
+        service._h_request.labels(endpoint=self._label) \
+            .observe(time.perf_counter() - t0)
+        service._m_http.labels(endpoint=self._label, code=status).inc()
+
+    def _timed(self, body) -> None:
+        """Run one request body; a body that sent nothing counts as 0."""
+        self._label = self._endpoint()
+        self._t0 = time.perf_counter()
         try:
             body()
         finally:
-            service._h_request.labels(endpoint=endpoint) \
-                .observe(time.perf_counter() - t0)
-            service._m_http.labels(
-                endpoint=endpoint, code=self._last_status
-            ).inc()
+            self._record(0)
 
     # ------------------------------------------------------------ methods
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming

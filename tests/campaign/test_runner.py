@@ -1,5 +1,7 @@
 """Tests for the campaign runner: determinism, caching, isolation."""
 
+from collections import Counter
+
 import pytest
 
 from repro.campaign import (
@@ -40,14 +42,39 @@ POISON = {
 }
 
 
+#: The NP-hard cell through the process fan-out: exact het-pipeline
+#: periods on bnb, next to the polynomial Theorem 6 latency cell.
+HET_BNB = dict(
+    name="het-bnb",
+    instances=(
+        {"type": "random", "graph": "pipeline", "count": 6, "seed": 2007,
+         "n": [6, 7], "p": [5, 6], "work_high": 9, "speed_high": 6},
+    ),
+    solvers=({"name": "exact", "mode": "auto", "exact_fallback": True,
+              "engine": "bnb"},),
+)
+
+
 class TestDeterminism:
-    def test_serial_and_parallel_rows_identical(self):
-        spec = grid_spec()
+    @pytest.mark.parametrize("overrides, algorithms", [
+        ({}, {"bnb": 10, "random-portfolio": 14,
+              "thm6-fastest-processor": 4}),
+        (HET_BNB, {"bnb": 6, "thm6-fastest-processor": 6}),
+    ], ids=["grid", "het-bnb"])
+    def test_serial_and_parallel_rows_identical(self, tmp_path, overrides,
+                                                algorithms):
+        spec = grid_spec(**overrides)
         serial = run_campaign(spec, workers=0)
-        parallel = run_campaign(spec, workers=2, chunk_size=3)
-        assert [strip_volatile(r) for r in serial.rows] == \
-            [strip_volatile(r) for r in parallel.rows]
+        rows = [strip_volatile(r) for r in serial.rows]
+        cache = ResultCache(tmp_path)
+        parallel = run_campaign(spec, cache=cache, workers=2, chunk_size=3)
+        assert [strip_volatile(r) for r in parallel.rows] == rows
         assert serial.stats["errors"] == 0
+        # a warm re-run of the fan-out is served entirely by its cache
+        warm = run_campaign(spec, cache=cache, workers=2, chunk_size=3)
+        assert warm.stats["cache_hits"] == warm.stats["tasks"]
+        assert [strip_volatile(r) for r in warm.rows] == rows
+        assert Counter(r["algorithm"] for r in serial.rows) == algorithms
 
     def test_rows_come_back_in_task_order(self):
         result = run_campaign(grid_spec(), workers=2, chunk_size=1)

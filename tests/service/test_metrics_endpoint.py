@@ -1,6 +1,7 @@
 """``GET /metrics``: Prometheus exposition wired to the live service."""
 
 import threading
+import time
 
 import pytest
 
@@ -27,6 +28,17 @@ def _solves_total(samples):
         v for k, v in samples.items()
         if k.startswith("repro_solves_total")
     )
+
+
+class _SlowLabels:
+    """A metric family whose ``labels`` lookup takes a few milliseconds."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def labels(self, **labelvalues):
+        time.sleep(0.005)
+        return self.family.labels(**labelvalues)
 
 
 class TestMetricsEndpoint:
@@ -93,8 +105,9 @@ class TestMetricsEndpoint:
         assert samples['repro_cache_ops_total{op="get",result="miss"}'] == 1
         assert samples['repro_cache_ops_total{op="put",result="ok"}'] == 1
 
-    def test_http_requests_labeled_by_endpoint(self, client,
-                                               pipeline_request):
+    def test_http_requests_labeled_by_endpoint(self, server, client,
+                                               pipeline_request,
+                                               monkeypatch):
         client.healthz()
         client.solve(pipeline_request)
         client.metrics()
@@ -107,6 +120,19 @@ class TestMetricsEndpoint:
         assert samples[metrics] >= 1
         # request latency histogram covers the same endpoints
         assert 'repro_request_seconds_count{endpoint="/v1/solve"}' in samples
+        # a request is counted before its reply goes out, so a scrape
+        # sent right after any reply sees it (the scrape itself is not
+        # yet counted in its own payload); slowing the recording down
+        # turns a count taken after the reply into a certain miss
+        monkeypatch.setattr(server.service, "_h_request",
+                            _SlowLabels(server.service._h_request))
+        healthz_seconds = 'repro_request_seconds_count{endpoint="/v1/healthz"}'
+        for served in range(2, 52):
+            client.healthz()
+            samples = parse_exposition(client.metrics())
+            assert samples[healthz] == served
+            assert samples[healthz_seconds] == served
+            assert samples[metrics] == served
 
     def test_unknown_paths_collapse_to_other(self, client):
         with pytest.raises(Exception):
