@@ -54,14 +54,19 @@ import pytest
 import repro
 from repro.algorithms import brute_force as bf
 from repro.algorithms import exact
-from repro.algorithms.problem import GraphKind, Objective, ProblemSpec
+from repro.algorithms.problem import (
+    GraphKind,
+    Objective,
+    ProblemSpec,
+    Solution,
+)
 from repro.algorithms.solve_context import ContextCache
 from repro.analysis import format_table
 from repro.analysis.pareto import non_dominated, threshold_grid
 from repro.campaign.runner import solve_task
 from repro.campaign.spec import Task
 from repro.core.costs import FLOAT_TOL
-from repro.serialization import spec_to_dict
+from repro.serialization import mapping_from_dict, spec_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = ROOT / "BENCH_exact.json"
@@ -304,9 +309,14 @@ def _front_rows(front) -> list[dict]:
 def _grid_front(spec, points: int, engine: str, cache=None) -> list[dict]:
     """The full-grid sweep the walk replaced: both extremes and every
     grid threshold solved (keyed as ``pareto_front`` keys them, sharing
-    one :class:`ContextCache`), then one non-domination pass."""
-    from repro.analysis.pareto import _solution_from_row
+    one :class:`ContextCache`), then one non-domination pass.  Rows are
+    decoded in full, independently of ``pareto_front``'s decode."""
     from repro.campaign.runner import execute_tasks
+
+    def _solution_from_row(row):
+        return Solution(mapping=mapping_from_dict(row["mapping"]),
+                        period=row["period"], latency=row["latency"],
+                        meta={"algorithm": row.get("algorithm")})
 
     instance = spec_to_dict(spec)
     solver = {"name": "pareto", "mode": "auto", "exact_fallback": True,

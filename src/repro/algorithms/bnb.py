@@ -30,6 +30,14 @@ subtrees with admissible lower bounds:
   partition grows, the fastest speed class left while processors are
   assigned.  A fork's replicated root block is bounded by its own load
   the same way, and a replicated root pins ``t0 >= w0 / max_speed``;
+* **processor-count bound** (fork partitions): a block of load ``L`` on
+  ``k`` processors has period at least ``L / (k * max_speed)`` (``k *
+  min_speed`` and ``sum_speed`` are both at most ``k * max_speed``), so
+  under a period limit ``K`` it takes ``ceil(L / (K * max_speed))``
+  processors; a partial partition whose blocks need more than ``p`` in
+  total is cut.  ``K`` is the period cap, or for the period objective the
+  tighter of the cap and ``best - FLOAT_TOL``; the ceiling rounds with
+  :func:`~repro.algorithms.search.ceil_div_tol`, which never over-counts;
 * **speed-multiset canonicalization**: two processor subsets with the same
   multiset of speeds yield identical costs, so subsets are enumerated as
   per-speed-class counts (on a homogeneous platform this collapses the
@@ -85,6 +93,7 @@ from ..core.mapping import (
 from ..core.validation import is_valid
 from .budget import CHECK_EVERY, Budget, BudgetExhaustedError, BudgetMeter, _BudgetStop
 from .problem import Objective, ProblemSpec, Solution
+from .search import ceil_div_tol
 from .solve_context import SolveContext
 
 __all__ = ["optimal", "root_lower_bound"]
@@ -584,6 +593,7 @@ def _fork_state(spec: ProblemSpec, context: SolveContext) -> dict:
             cap_full=cap_full,
             order=order,
             max_blocks=min(len(order), p),
+            p=p,
             pool=_SpeedPool(platform),
         )
     return state
@@ -610,6 +620,7 @@ def _solve_fork_like(
     cap_full = state["cap_full"]
     order = state["order"]
     max_blocks = state["max_blocks"]
+    p = state["p"]
     pool_template = state["pool"]
     by_period = search.objective is Objective.PERIOD
     latency_objective = (
@@ -896,9 +907,6 @@ def _solve_fork_like(
         search.nodes += 1
         if metered and search.nodes >= search.next_check:
             search.checkpoint()
-        if idx == len(order):
-            assign_blocks(blocks)
-            return
         # bounds from partial block loads (loads only grow)
         max_load = max((b.load for b in blocks), default=0.0)
         lb_period = max(max_load / cap_full, total_work / total_speed)
@@ -930,6 +938,25 @@ def _solve_fork_like(
                 lb_latency = max(root_floor, t0 + delay)
         if search.cut(lb_period, lb_latency):
             search.pruned += 1
+            return
+        # processor-count bound: a block of load L has period at least
+        # L / (k * max_speed) on k processors, so meeting a period limit K
+        # takes ceil(L / (K * max_speed)) of the p processors
+        limit = search.period_cap
+        if by_period:
+            beat = search.best_value - FLOAT_TOL
+            if limit is None or beat < limit:
+                limit = beat
+        if limit is not None and 0.0 < limit < _INF:
+            speed_limit = limit * max_speed
+            need = 0
+            for b in blocks:
+                need += ceil_div_tol(b.load, speed_limit)
+            if need > p:
+                search.pruned += 1
+                return
+        if idx == len(order):
+            assign_blocks(blocks)
             return
         s = order[idx]
         w = works[s]

@@ -102,20 +102,24 @@ def _rest_dp(
 
     A group of ``m`` branches needs ``k = ceil(m w / (K s))`` processors to
     meet the bound and has delay ``m w / s`` whatever ``k`` is, so only the
-    minimal ``k`` is considered.  ``O(n^2 p)``.
+    minimal ``k`` is considered.  ``O(n^2 p)``.  The fork-join DPs of
+    :mod:`repro.algorithms.forkjoin` share it.
     """
     D = [[INF] * (p + 1) for _ in range(n + 1)]
     back: dict[tuple[int, int], tuple[int, int]] = {}
     for q in range(p + 1):
         D[0][q] = 0.0
+    # the processor count of a group of m branches, for every m
+    ks = [0] + [
+        1 if period_bound == INF
+        else max(1, ceil_div_tol(m * w, period_bound * s))
+        for m in range(1, n + 1)
+    ]
     for i in range(1, n + 1):
         for q in range(1, p + 1):
             best, arg = INF, None
             for m in range(1, i + 1):
-                if period_bound == INF:
-                    k = 1
-                else:
-                    k = max(1, ceil_div_tol(m * w, period_bound * s))
+                k = ks[m]
                 if k > q:
                     continue
                 prev = D[i - m][q - k]

@@ -40,6 +40,7 @@ from ..core.exceptions import (
 )
 from ..core.mapping import AssignmentKind, ForkJoinMapping, GroupAssignment
 from ..core.platform import Platform
+from .fork_hom_platform import _rest_dp, _rest_groups_from_dp
 from .problem import Objective, Solution
 from .search import (
     block_capacities,
@@ -105,32 +106,6 @@ class _Plan:
         self.rest = rest  # list of (branch_count, proc_count, kind)
 
 
-def _rest_dp_hom(n: int, p: int, w: float, s: float, K: float):
-    """Same knapsack DP as the fork case: min max-delay of ``i`` branches on
-    ``q`` processors in replicated groups of period <= K."""
-    D = [[INF] * (p + 1) for _ in range(n + 1)]
-    back: dict[tuple[int, int], tuple[int, int]] = {}
-    for q in range(p + 1):
-        D[0][q] = 0.0
-    for i in range(1, n + 1):
-        for q in range(1, p + 1):
-            best, arg = INF, None
-            for m in range(1, i + 1):
-                k = 1 if K == INF else max(1, ceil_div_tol(m * w, K * s))
-                if k > q:
-                    continue
-                prev = D[i - m][q - k]
-                if prev == INF:
-                    continue
-                cand = max(m * w / s, prev)
-                if cand < best - FLOAT_TOL:
-                    best, arg = cand, (m, k)
-            D[i][q] = best
-            if arg is not None:
-                back[(i, q)] = arg
-    return D, back
-
-
 def _best_plan_hom(
     app: ForkJoinApplication,
     platform: Platform,
@@ -157,7 +132,7 @@ def _best_plan_hom(
 
     D = back = None
     if not allow_dp:
-        D, back = _rest_dp_hom(n, p, w, s, K)
+        D, back = _rest_dp(n, p, w, s, K)
 
     def rest_plans(rest: int, qr: int):
         """Yield (max_rest_delay, groups) choices for the leftover branches."""
@@ -173,13 +148,10 @@ def _best_plan_hom(
             return
         d = D[rest][qr]
         if d < INF:
-            groups = []
-            i, q = rest, qr
-            while i > 0:
-                m, k = back[(i, q)]
-                groups.append((m, k, AssignmentKind.REPLICATED))
-                i, q = i - m, q - k
-            yield d, groups
+            yield d, [
+                (m, k, AssignmentKind.REPLICATED)
+                for m, k in _rest_groups_from_dp(back, rest, qr)
+            ]
 
     # --- case A: join inside the root group (replicated) -----------------
     for n0 in range(n + 1):

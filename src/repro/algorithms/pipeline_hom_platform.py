@@ -133,32 +133,42 @@ def _latency_dp(
         L[n][q] = 0.0
 
     for i in range(n - 1, -1, -1):
+        # the intervals i..e (end, delay W/s, processor count) and the
+        # data-parallel costs of stage i do not depend on q: build them once
+        intervals = []
+        for e in range(i, n):
+            work = prefix[e + 1] - prefix[i]
+            if period_bound is None:
+                k = 1
+            else:
+                k = max(1, ceil_div_tol(work, period_bound * s))
+            if k <= p:
+                intervals.append((e, work / s, k))
+        dp_costs = []
+        if allow_data_parallel:
+            w_i = works[i]
+            f_i = app.stages[i].dp_overhead
+            for q2 in range(2, p + 1):
+                cost = f_i + w_i / (q2 * s)
+                if period_bound is None or cost <= period_bound:
+                    dp_costs.append((q2, cost))
         for q in range(1, p + 1):
             best = INF
             best_choice: tuple[str, int, int] | None = None
-            for e in range(i, n):
-                work = prefix[e + 1] - prefix[i]
-                if period_bound is None:
-                    k = 1
-                else:
-                    k = max(1, ceil_div_tol(work, period_bound * s))
+            for e, delay, k in intervals:
                 if k > q:
                     continue
-                cand = work / s + L[e + 1][q - k]
+                cand = delay + L[e + 1][q - k]
                 if cand < best - FLOAT_TOL:
                     best = cand
                     best_choice = ("replicate", e, k)
-            if allow_data_parallel:
-                w_i = works[i]
-                f_i = app.stages[i].dp_overhead
-                for q2 in range(2, q + 1):
-                    cost = f_i + w_i / (q2 * s)
-                    if period_bound is not None and cost > period_bound:
-                        continue
-                    cand = cost + L[i + 1][q - q2]
-                    if cand < best - FLOAT_TOL:
-                        best = cand
-                        best_choice = ("data-parallel", i, q2)
+            for q2, cost in dp_costs:
+                if q2 > q:
+                    break
+                cand = cost + L[i + 1][q - q2]
+                if cand < best - FLOAT_TOL:
+                    best = cand
+                    best_choice = ("data-parallel", i, q2)
             L[i][q] = best
             if best_choice is not None:
                 choice[(i, q)] = best_choice

@@ -83,9 +83,18 @@ def non_dominated(solutions) -> list[Solution]:
     return front
 
 
-def _solution_from_row(row: dict) -> Solution:
+def _solution_from_row(
+    row: dict, spec: ProblemSpec, instance: dict
+) -> Solution:
+    """The row's solution.  Its mapping is built against ``spec`` when
+    the row's mapping document carries the application and platform of
+    ``instance`` (``spec``'s document); a row whose document names other
+    ones is decoded in full."""
+    doc = row["mapping"]
+    same = (doc.get("application") == instance["application"]
+            and doc.get("platform") == instance["platform"])
     return Solution(
-        mapping=mapping_from_dict(row["mapping"]),
+        mapping=mapping_from_dict(doc, spec if same else None),
         period=row["period"],
         latency=row["latency"],
         meta={"algorithm": row.get("algorithm")},
@@ -189,7 +198,7 @@ def pareto_front(
     for row in extremes:
         if row["status"] != "ok":
             _raise_row_error(row)
-    lo, hi = (_solution_from_row(row) for row in extremes)
+    lo, hi = (_solution_from_row(row, spec, instance) for row in extremes)
 
     bounds = [
         k * (1 + FLOAT_TOL)
@@ -207,7 +216,7 @@ def pareto_front(
             if row.get("error_type") == "InfeasibleProblemError":
                 break
             _raise_row_error(row)
-        sol = _solution_from_row(row)
+        sol = _solution_from_row(row, spec, instance)
         walked.append(sol)
         # thresholds bisect_left(...) and up admit sol.period, so share its
         # optimum; min() keeps the walk descending even on a cached row

@@ -189,11 +189,21 @@ def mapping_to_dict(mapping) -> dict:
     }
 
 
-def mapping_from_dict(data: dict):
+def mapping_from_dict(data: dict, spec=None):
+    """Deserialize a ``{"kind": "mapping", ...}`` document.
+
+    ``spec`` (a :class:`~repro.algorithms.problem.ProblemSpec` whose
+    application and platform the document's own describe) skips decoding
+    those two: only the groups are decoded, and the mapping is built
+    against ``spec``'s application and platform.
+    """
     if data.get("kind") != "mapping":
         raise ReproError(f"not a mapping document: {data.get('kind')!r}")
-    app = application_from_dict(data["application"])
-    platform = platform_from_dict(data["platform"])
+    if spec is None:
+        app = application_from_dict(data["application"])
+        platform = platform_from_dict(data["platform"])
+    else:
+        app, platform = spec.application, spec.platform
     groups = tuple(
         GroupAssignment(
             stages=tuple(entry["stages"]),

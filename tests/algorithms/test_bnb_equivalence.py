@@ -252,3 +252,69 @@ def test_bnb_solution_is_valid_and_consistent():
             assert sol.latency == pytest.approx(latency)
             assert sol.meta["algorithm"] == "bnb"
             assert sol.meta["nodes"] >= 1
+
+
+def _decimal_fork_like_spec(rng, homogeneous, forkjoin):
+    """A small fork or fork-join whose works and speeds are not binary
+    fractions, so block loads and group periods carry rounding error."""
+    works = [0.1, 0.2, 0.3, 0.7, 1.1, 2.9]
+    speeds = [0.3, 0.7, 1.0, 3.0]
+    p = rng.randint(2, 4)
+    if homogeneous:
+        platform = repro.Platform.homogeneous(p, rng.choice(speeds))
+    else:
+        platform = repro.Platform.heterogeneous(
+            [rng.choice(speeds) for _ in range(p)]
+        )
+    branches = [rng.choice(works) for _ in range(rng.randint(2, 3))]
+    if forkjoin:
+        app = repro.ForkJoinApplication.from_works(
+            rng.choice(works), branches, rng.choice(works)
+        )
+    else:
+        app = repro.ForkApplication.from_works(rng.choice(works), branches)
+    return ProblemSpec(app, platform, rng.random() < 0.5)
+
+
+def _group_period_caps(spec):
+    """Every period ``L / (k * s)`` of a replicated group: ``L`` a sum of
+    stage works, ``k`` a processor count, ``s`` a speed of the platform."""
+    stage_works = [stage.work for stage in spec.application.all_stages]
+    loads = set()
+    for mask in range(1, 2 ** len(stage_works)):
+        loads.add(sum(w for i, w in enumerate(stage_works) if mask >> i & 1))
+    return sorted({
+        load / (k * s)
+        for load in loads
+        for k in range(1, spec.platform.p + 1)
+        for s in set(spec.platform.speeds)
+    })
+
+
+@pytest.mark.parametrize("homogeneous", [False, True], ids=["het", "hom"])
+@pytest.mark.parametrize("forkjoin", [False, True], ids=["fork", "forkjoin"])
+def test_bnb_matches_enumeration_at_group_period_caps(homogeneous, forkjoin):
+    """Period caps that a group's period meets exactly.
+
+    The partition search counts the processors each block needs under a
+    period limit by a rounded division; a cap equal to a group's period
+    is where a rounding that over-counts would cut the optimum.
+    """
+    rng = random.Random(20261020 + 2 * homogeneous + forkjoin)
+    for _ in range(4):
+        spec = _decimal_fork_like_spec(rng, homogeneous, forkjoin)
+        oracle = _enumeration_oracle(spec)
+        for cap in _group_period_caps(spec):
+            for objective in (Objective.PERIOD, Objective.LATENCY):
+                want = oracle(objective, period_bound=cap)
+                got = _engine_value("bnb", spec, objective, period_bound=cap)
+                if want is None:
+                    assert got is None, (
+                        f"enumerate infeasible but bnb found {got} on "
+                        f"{spec.describe()} (K={cap!r})"
+                    )
+                else:
+                    assert got == pytest.approx(want), (
+                        f"{objective} (K={cap!r}) mismatch on "
+                        f"{spec.describe()}: enumerate={want} bnb={got}"
+                    )

@@ -9,7 +9,11 @@ tie-break would silently change warm-cache rows even though every value
 pipelines, forks and fork-joins, each for period, latency and latency
 under a period bound, on random instances and on instances built to tie
 (equal works on equal processors, and works a fraction of ``FLOAT_TOL``
-apart).
+apart).  It also pins larger forks and fork-joins on homogeneous and
+heterogeneous platforms, for period and for latency under a period bound
+equal to, or 10% above, the optimal period: there the partition search
+cuts the most subtrees, so a bound that cut a subtree holding the last
+accepted leaf would change a mapping here.
 
 Regenerate the fixture (only when a tie-break change is intended)::
 
@@ -33,6 +37,9 @@ SEED = 20261018
 #: Latency queries under a period bound use this multiple of the optimal
 #: period as the bound.
 PERIOD_SLACK = 1.25
+#: The six-processor forks and fork-joins are also solved under a bound of
+#: this multiple of the optimal period (and under the optimal period).
+TIGHT_SLACK = 1.1
 
 
 def _random_works(rng, n):
@@ -102,6 +109,32 @@ def _instances():
     return out
 
 
+def _tight_instances():
+    """``(name, spec)`` pairs: forks and fork-joins on six processors."""
+    rng = random.Random(SEED + 1)
+    out = []
+    for platform_kind in ("hom", "het"):
+        for r in range(2):
+            if platform_kind == "hom":
+                plat = repro.Platform.homogeneous(6, float(rng.randint(1, 3)))
+            else:
+                plat = repro.Platform.heterogeneous(_random_speeds(rng, 6))
+            out.append((f"fork-{platform_kind}-{r}", ProblemSpec(
+                repro.ForkApplication.from_works(
+                    float(rng.randint(1, 9)), _random_works(rng, 5)
+                ),
+                plat, bool(r),
+            )))
+            out.append((f"forkjoin-{platform_kind}-{r}", ProblemSpec(
+                repro.ForkJoinApplication.from_works(
+                    float(rng.randint(1, 9)), _random_works(rng, 4),
+                    float(rng.randint(1, 9)),
+                ),
+                plat, bool(r),
+            )))
+    return out
+
+
 def _groups(solution):
     return mapping_to_dict(solution.mapping)["groups"]
 
@@ -118,6 +151,25 @@ def _record() -> list[dict]:
         ]
         for label, objective, bound in queries:
             sol = bnb.optimal(spec, objective, period_bound=bound)
+            cases.append({
+                "id": f"{name}/{label}",
+                "instance": spec_to_dict(spec),
+                "objective": objective.value,
+                "period_bound": bound,
+                "groups": _groups(sol),
+            })
+    for name, spec in _tight_instances():
+        period = bnb.optimal(spec, Objective.PERIOD)
+        queries = [
+            ("period", Objective.PERIOD, None, period),
+            ("latency-under-optimal-period", Objective.LATENCY,
+             period.period, None),
+            ("latency-under-tight-period", Objective.LATENCY,
+             TIGHT_SLACK * period.period, None),
+        ]
+        for label, objective, bound, sol in queries:
+            if sol is None:
+                sol = bnb.optimal(spec, objective, period_bound=bound)
             cases.append({
                 "id": f"{name}/{label}",
                 "instance": spec_to_dict(spec),
@@ -143,7 +195,7 @@ def test_bnb_returns_the_recorded_mapping(case):
 def test_fixture_covers_every_shape_and_query():
     kinds = {(c["instance"]["application"]["kind"], c["id"].split("/")[1])
              for c in CASES}
-    assert len(kinds) == 9 and len(CASES) >= 30
+    assert len(kinds) == 13 and len(CASES) >= 60
 
 
 if __name__ == "__main__":

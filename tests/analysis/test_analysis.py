@@ -100,18 +100,26 @@ class TestPareto:
         assert cache.misses == solved
 
 
-def _grid_front(spec, num_points, cache=None):
+def _grid_front(spec, num_points, cache=None, instance=None):
     """The full-grid sweep the walk replaces: solve both extremes and
     every threshold of the grid, keyed as ``pareto_front`` keys them, then
-    one non-domination pass.  Returns ``(front, sweep_rows)``."""
+    one non-domination pass.  Returns ``(front, sweep_rows)``.  The tasks
+    carry ``instance`` (by default ``spec``'s own document).  Rows
+    are decoded in full (application and platform too), independently of
+    ``pareto_front``'s decode against the caller's spec."""
     from repro.algorithms.solve_context import ContextCache
-    from repro.analysis.pareto import _solution_from_row
     from repro.campaign.runner import execute_tasks
     from repro.campaign.spec import Task
     from repro.core.costs import FLOAT_TOL
-    from repro.serialization import spec_to_dict
+    from repro.serialization import mapping_from_dict, spec_to_dict
 
-    instance = spec_to_dict(spec)
+    def _solution_from_row(row):
+        return Solution(mapping=mapping_from_dict(row["mapping"]),
+                        period=row["period"], latency=row["latency"],
+                        meta={"algorithm": row.get("algorithm")})
+
+    if instance is None:
+        instance = spec_to_dict(spec)
     solver = {"name": "pareto", "mode": "auto",
               "exact_fallback": True, "engine": "bnb"}
 
@@ -191,6 +199,61 @@ class TestParetoWalk:
                                   exact_fallback=True, cache=cache)
             assert cache.misses == misses, f"instance {i} missed"
             assert _front_points(served) == _front_points(grid)
+
+    def test_cache_filled_from_an_equivalent_document(self, tmp_path):
+        """A cache filled by tasks on a differently written document of
+        the same instance (int works and speeds) serves the cold front
+        point for point, each mapping built against the caller's spec."""
+        from repro.campaign import ResultCache
+
+        spec = repro.ProblemSpec(
+            repro.ForkJoinApplication.from_works(3, [5, 2, 4], 2),
+            repro.Platform.heterogeneous([1, 2, 3]),
+        )
+        written = {
+            "kind": "instance",
+            "application": {"kind": "fork-join", "root_work": 3,
+                            "branch_works": [5, 2, 4], "join_work": 2},
+            "platform": {"kind": "platform", "speeds": [1, 2, 3]},
+        }
+        cold = pareto_front(spec, num_points=12, exact_fallback=True)
+        cache = ResultCache(tmp_path)
+        _grid_front(spec, 12, cache=cache, instance=written)
+        misses = cache.misses
+        served = pareto_front(spec, num_points=12, exact_fallback=True,
+                              cache=cache)
+        assert cache.misses == misses
+        assert len(cold) > 1
+        assert _front_points(served) == _front_points(cold)
+        assert all(s.mapping.application is spec.application
+                   and s.mapping.platform is spec.platform for s in served)
+
+    def test_row_naming_another_instance_is_decoded_in_full(self):
+        from repro.analysis.pareto import _solution_from_row
+        from repro.core.mapping import GroupAssignment, PipelineMapping
+        from repro.serialization import mapping_to_dict, spec_to_dict
+
+        app = repro.PipelineApplication.from_works([9, 2, 7])
+        spec = repro.ProblemSpec(app, repro.Platform.heterogeneous([3, 1]))
+        other = repro.Platform.heterogeneous([1, 3])
+        group = GroupAssignment(stages=(1, 2, 3), processors=(1,))
+        instance = spec_to_dict(spec)
+
+        def row(platform):
+            mapping = PipelineMapping(application=app, platform=platform,
+                                      groups=(group,))
+            period, latency = repro.evaluate(mapping)
+            return {"mapping": mapping_to_dict(mapping), "period": period,
+                    "latency": latency, "algorithm": "bnb"}
+
+        own = _solution_from_row(row(spec.platform), spec, instance)
+        assert own.mapping.platform is spec.platform
+        foreign = _solution_from_row(row(other), spec, instance)
+        assert foreign.mapping.platform is not spec.platform
+        assert foreign.mapping.platform.speeds == (1.0, 3.0)
+        assert foreign.mapping.application is not app
+        assert (foreign.period, foreign.latency) == repro.evaluate(
+            foreign.mapping)
 
     def test_one_solve_per_distinct_grid_answer(self, tmp_path):
         from repro.campaign import ResultCache
